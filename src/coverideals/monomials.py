@@ -24,16 +24,18 @@ COMPONENT_ENUMERATION_CAP = 2_000_000
 _exponent_cap = DEFAULT_EXPONENT_CAP
 
 
-def exponent_cap() -> int:
-    return _exponent_cap
-
-
 def set_exponent_cap(cap: int) -> None:
     """Raise the guard against runaway exponents (default 64)."""
     global _exponent_cap
     if cap < 1:
         raise ValueError("exponent cap must be positive")
     _exponent_cap = cap
+
+
+def _deglex_key(exps: Sequence[int]) -> tuple:
+    # Total degree first; ties broken scanning from the highest-index
+    # variable down, larger exponent there sorting earlier.
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 class Monomial:
@@ -92,9 +94,7 @@ class Monomial:
         return self.degree == 0
 
     def deglex_key(self):
-        # Total degree first; ties broken scanning from the highest-index
-        # variable down, larger exponent there sorting earlier.
-        return (self.degree, tuple(-e for e in reversed(self.exponents)))
+        return _deglex_key(self.exponents)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -325,9 +325,7 @@ class MonomialIdeal:
             base = g.exponents
             for extra in _compositions(k, n):
                 seen.add(tuple(b + e for b, e in zip(base, extra)))
-        gens = tuple(
-            Monomial(e) for e in sorted(seen, key=lambda e: Monomial(e).deglex_key())
-        )
+        gens = tuple(Monomial(e) for e in sorted(seen, key=_deglex_key))
         return MonomialIdeal._from_minimal(self.nvars, gens)
 
 

@@ -11,7 +11,13 @@ Two independent engines compute the same table:
 * ``koszul_betti`` enumerates the lcm lattice of the generators and reads
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
   complex {b <= support(a) : x^(a-b) in I}, which lives on at most n
-  vertices regardless of the generator count.
+  vertices regardless of the generator count (Miller-Sturmfels, Thm 1.34).
+  Membership and the lattice come from one table over the compressed
+  divisor box (each axis keeps only the generator exponents in its
+  variable, plus 0), filled in one upward pass.  Complexes repeat across
+  lattice points, so each distinct one, keyed by (support size, face
+  bitmask), has its homology computed once per call.  A box past
+  ``BOX_CAP`` cells raises CapacityError before anything is allocated.
 
 Linear resolutions, componentwise linearity, linear quotients (with order
 search), the polymatroidal exchange condition, and first-syzygy degree
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
@@ -31,6 +38,10 @@ from .monomials import Monomial, MonomialIdeal
 
 DEFAULT_TAYLOR_CAP = 14
 BACKTRACKING_CAP = 20
+# Cells of the compressed divisor box past which the lcm-lattice engine
+# refuses an ideal.  Every degree component of J_{K_n}(t) with n <= 7 and
+# t <= 3 fits; the largest (n = 7, t = 3, degree 18) fills it exactly.
+BOX_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -93,9 +104,6 @@ class BettiTable:
     def generator_histogram(self) -> dict[int, int]:
         """Degree -> number of minimal generators, read from row i=0."""
         return {j: r for (i, j), r in self.coarse.items() if i == 0}
-
-    def max_index(self) -> int:
-        return max((i for i, _ in self.coarse), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,43 +252,120 @@ def taylor_strand_betti(
     return BettiTable(ideal.nvars, field, multigraded)
 
 
+class _DivisorBox:
+    """Membership table of an ideal over its compressed divisor box.
+
+    Axis i holds only the distinct generator exponents in x_i, plus 0, and
+    a cell stands for the exponent vector of its grid values.  Every
+    generator is a cell, and it divides a cell's monomial iff it sits at or
+    below that cell on every axis.  ``reach[idx]`` is 0 outside the ideal;
+    inside it, bit n is set and bit i says that some generator dividing the
+    cell attains the cell's value on axis i.  Cells are numbered row-major
+    (the last axis has stride 1), so index order is the lexicographic order
+    of the exponent vectors.
+    """
+
+    __slots__ = ("values", "strides", "reach", "lattice")
+
+    def __init__(self, ideal: MonomialIdeal):
+        n = ideal.nvars
+        gen_exps = [g.exponents for g in ideal.generators]
+        self.values = [sorted({0, *(e[i] for e in gen_exps)}) for i in range(n)]
+        lengths = [len(v) for v in self.values]
+        size = prod(lengths)
+        if size > BOX_CAP:
+            raise CapacityError(
+                f"the compressed divisor box has {size} cells, beyond the "
+                f"lcm-lattice engine's cap {BOX_CAP}"
+            )
+        strides = [1] * n
+        for i in range(n - 1, 0, -1):
+            strides[i - 1] = strides[i] * lengths[i]
+        self.strides = strides
+        full = (2 << n) - 1
+        keep = [full ^ (1 << i) for i in range(n)]
+        reach = [0] * size
+        for e in gen_exps:
+            reach[self.cell(e)] = full
+        # One upward pass: a cell is in I iff it is a generator or the cell
+        # one step down some axis is in I.  A generator below the cell on
+        # axis i cannot attain the cell's value there, hence the mask.
+        lattice = []
+        for idx, cell in enumerate(product(*map(range, lengths))):
+            r = reach[idx]
+            support = 0
+            for i, c in enumerate(cell):
+                if c:
+                    support |= 1 << i
+                    r |= reach[idx - strides[i]] & keep[i]
+            reach[idx] = r
+            # an lcm of generators iff the generators dividing it attain it
+            # on every axis of its support
+            if r and r & support == support:
+                lattice.append(tuple(v[c] for v, c in zip(self.values, cell)))
+        self.reach = reach
+        self.lattice = lattice
+
+    def cell(self, exps: Sequence[int]) -> int:
+        """Index of the cell of an exponent vector made of grid values."""
+        return sum(
+            v.index(e) * s for v, e, s in zip(self.values, exps, self.strides)
+        )
+
+
 def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """All lcms of non-empty generator subsets (the only multidegrees where
-    Betti numbers can live)."""
-    lattice: set[tuple[int, ...]] = set()
-    for gen in ideal.generators:
-        e = gen.exponents
-        new = {tuple(map(max, e, a)) for a in lattice}
-        new.add(e)
-        lattice |= new
-    return sorted(lattice)
+    Betti numbers can live), sorted, read off the divisor box."""
+    return _DivisorBox(ideal).lattice
+
+
+def _mask_faces(nverts: int, mask: int) -> set[frozenset]:
+    """The faces of a complex on vertices 0..nverts-1 given as a bitmask
+    over subsets: bit k set means the subset with bit pattern k is a face."""
+    return {
+        frozenset(j for j in range(nverts) if k >> j & 1)
+        for k in range(1 << nverts)
+        if mask >> k & 1
+    }
 
 
 def koszul_betti(
     ideal: MonomialIdeal, field: FieldChoice = RATIONALS
 ) -> BettiTable:
-    """Multigraded Betti numbers via squarefree complexes at each lcm-lattice
-    multidegree; scales with 2^n rather than 2^(number of generators)."""
-    if ideal.is_zero():
-        return BettiTable(ideal.nvars, field, {})
-    n = ideal.nvars
-    gen_exps = [g.exponents for g in ideal.generators]
+    """Multigraded Betti numbers from upper Koszul complexes at the
+    lcm-lattice multidegrees; scales with 2^n rather than 2^(number of
+    generators).
+
+    beta_{i,a} is the reduced homology in dimension i-1 of the complex
+    {b <= support(a) : x^(a-b) in I} (Miller-Sturmfels, Thm 1.34).  Its
+    faces are read off the divisor-box membership table: generator
+    exponents are grid values, so one below a_i is one at or below the
+    previous grid value, and x^(a-b) is in I iff the cell one step down
+    every axis of b is.  Complexes are keyed by (support size, face
+    bitmask); each distinct one has its homology computed once per call.
+    Raises CapacityError, before allocating, when the box exceeds
+    ``BOX_CAP`` cells.
+    """
+    box = _DivisorBox(ideal)
+    reach, strides = box.reach, box.strides
+    homology: dict[tuple[int, int], list[int]] = {}
     multigraded: dict[tuple, int] = {}
     for a in lcm_lattice(ideal):
-        support = [i for i in range(n) if a[i] > 0]
-        faces = []
-        for r in range(len(support) + 1):
-            for sub in combinations(support, r):
-                rest = list(a)
-                for i in sub:
-                    rest[i] -= 1
-                if any(
-                    all(g_e <= r_e for g_e, r_e in zip(gen, rest))
-                    for gen in gen_exps
-                ):
-                    faces.append(frozenset(sub))
-        # faces form a downward-closed family by construction
-        ranks = _reduced_homology(set(faces), field)
+        idx = box.cell(a)
+        # steps[k]: index distance to the cell one step down every support
+        # axis in the bit pattern k
+        support = [i for i, e in enumerate(a) if e]
+        steps = [0]
+        for i in support:
+            steps += [d + strides[i] for d in steps]
+        mask = 0
+        for k, d in enumerate(steps):
+            if reach[idx - d]:
+                mask |= 1 << k
+        key = (len(support), mask)
+        ranks = homology.get(key)
+        if ranks is None:
+            ranks = homology[key] = _reduced_homology(_mask_faces(*key), field)
         for i, r in enumerate(ranks):
             # ranks[i] is reduced homology in dimension i-1 = beta_{i,a}
             if r:

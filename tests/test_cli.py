@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coverideals.cli import main
+from coverideals.resolution import BOX_CAP
 
 
 def run(capsys, *argv):
@@ -144,6 +145,15 @@ def test_betti_taylor_capacity_exit_code(capsys):
     code, _, err = run(
         capsys, "betti", "--complete", "5", "--t", "6", "--engine", "taylor"
     )
+    assert code == 3
+    assert "cap" in err
+
+
+def test_betti_koszul_box_capacity_exit_code(tmp_path, capsys):
+    n = BOX_CAP.bit_length()  # x1..xn span a box of 2^n > BOX_CAP cells
+    f = tmp_path / "vars.ideal"
+    f.write_text(f"vars {n}\n" + "".join(f"x{i}\n" for i in range(1, n + 1)))
+    code, _, err = run(capsys, "betti", "--engine", "koszul", "--ideal", str(f))
     assert code == 3
     assert "cap" in err
 

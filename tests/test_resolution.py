@@ -8,6 +8,7 @@ from coverideals.errors import CapacityError, NotEquigeneratedError
 from coverideals.graphs import complete_graph, counterexample_graph, cover_ideal
 from coverideals.monomials import Monomial, MonomialIdeal
 from coverideals.resolution import (
+    BOX_CAP,
     RATIONALS,
     FieldChoice,
     betti_table,
@@ -187,6 +188,19 @@ def test_lcm_lattice_small():
     assert lcm_lattice(I) == [(0, 1), (1, 0), (1, 1)]
 
 
+def test_divisor_box_cap_raises_before_allocating():
+    # x1, ..., xn with 2^n > BOX_CAP: each axis compresses to {0, 1}.  The
+    # check precedes the fill, so refusing this box stays cheap.
+    n = BOX_CAP.bit_length()
+    I = MonomialIdeal(
+        n, [Monomial(tuple(int(i == j) for i in range(n))) for j in range(n)]
+    )
+    with pytest.raises(CapacityError, match="cap"):
+        koszul_betti(I)
+    with pytest.raises(CapacityError, match="cap"):
+        lcm_lattice(I)
+
+
 # ---------------------------------------------------------------------------
 # engine agreement
 
@@ -218,6 +232,31 @@ def test_engines_agree_over_f2():
     for _ in range(15):
         I = random_small_ideal(rng)
         assert taylor_strand_betti(I, F2) == koszul_betti(I, F2), I
+
+
+@st.composite
+def gapped_ideals(draw):
+    """Ideals in 1-5 variables whose exponents come from a random subset of
+    0..9, so the divisor box compresses gaps; degrees are mixed."""
+    n = draw(st.integers(1, 5))
+    grid = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    exps = st.tuples(*[st.sampled_from(grid)] * n)
+    gens = draw(st.lists(exps, min_size=0, max_size=7))
+    return MonomialIdeal(n, [Monomial(e) for e in gens])
+
+
+@settings(derandomize=True, deadline=None)
+@given(gapped_ideals())
+def test_koszul_matches_taylor_and_brute_force_lattice(I):
+    gens = [g.exponents for g in I.generators]
+    lcms = {
+        tuple(map(max, zip(*subset)))
+        for r in range(1, len(gens) + 1)
+        for subset in combinations(gens, r)
+    }
+    assert lcm_lattice(I) == sorted(lcms)
+    for field in (RATIONALS, F2, FieldChoice(3)):
+        assert koszul_betti(I, field) == taylor_strand_betti(I, field)
 
 
 def test_betti_table_auto_engine_switches():
@@ -380,6 +419,15 @@ def test_complete_graph_cwl_small_grid():
         for t in (1, 2, 3):
             report = is_componentwise_linear(cover_ideal(complete_graph(n), t))
             assert report.overall, (n, t)
+
+
+def test_complete_graph_k6_t2_cwl_through_betti():
+    # the paper's theorem at n = 6, decided from every component's Betti table
+    report = is_componentwise_linear(cover_ideal(complete_graph(6), 2))
+    assert report.overall
+    assert [(v.degree, v.status) for v in report.verdicts] == [
+        (d, "linear") for d in range(6, 11)
+    ]
 
 
 def test_zero_ideal_cwl_vacuous():
