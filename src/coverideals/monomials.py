@@ -18,18 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
 
-DEFAULT_EXPONENT_CAP = 64
+EXPONENT_CAP = 64  # guard against runaway exponents
 COMPONENT_ENUMERATION_CAP = 2_000_000
-
-_exponent_cap = DEFAULT_EXPONENT_CAP
-
-
-def set_exponent_cap(cap: int) -> None:
-    """Raise the guard against runaway exponents (default 64)."""
-    global _exponent_cap
-    if cap < 1:
-        raise ValueError("exponent cap must be positive")
-    _exponent_cap = cap
 
 
 def _deglex_key(exps: Sequence[int]) -> tuple:
@@ -49,11 +39,8 @@ class Monomial:
             raise ValueError("a monomial needs at least one ring variable")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
-        if max(exps) > _exponent_cap:
-            raise CapacityError(
-                f"exponent {max(exps)} exceeds the cap {_exponent_cap}; "
-                "raise it with set_exponent_cap() if intended"
-            )
+        if max(exps) > EXPONENT_CAP:
+            raise CapacityError(f"exponent {max(exps)} exceeds the cap {EXPONENT_CAP}")
         self.exponents = exps
         self.degree = sum(exps)
 

@@ -4,6 +4,14 @@ every graph in range and record its componentwise-linearity verdict.
 Rows are emitted in a fixed enumeration order (vertex count, then edge-set
 bitmask), so two runs of the same sweep are byte-identical apart from wall
 times.  The summary deduplicates failing graphs up to relabelling.
+
+The verdict, failing degree and generator count do not change when the
+vertices are relabelled, so each is computed once per isomorphism class and
+copied to every labelled member.  The classes come from orbit enumeration:
+the n! relabellings are applied to the least edge mask of each class, about
+112k mappings for the 156 classes on 6 vertices.  A budget or capacity skip
+is decided per class too, and a row's ``ms`` is the time spent on that row:
+the computation for the class's first member, a lookup for the others.
 """
 
 from __future__ import annotations
@@ -84,41 +92,81 @@ def _graph_from_mask(n: int, mask: int, slots) -> SimpleGraph:
     return SimpleGraph(n, [e for k, e in enumerate(slots) if mask >> k & 1])
 
 
+def _relabellings(n: int) -> list[list[int]]:
+    """For each of the n! vertex permutations, the slot each edge slot moves
+    to."""
+    slots = _edge_slots(n)
+    slot = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, (u, v) in enumerate(slots):
+        slot[u][v] = slot[v][u] = k
+    return [
+        [slot[p[u - 1]][p[v - 1]] for u, v in slots]
+        for p in permutations(range(1, n + 1))
+    ]
+
+
+def _orbit(mask: int, relabellings: list[list[int]]) -> set[int]:
+    """Every edge mask that some vertex relabelling takes mask to."""
+    bits = [k for k in range(mask.bit_length()) if mask >> k & 1]
+    return {sum(1 << to[k] for k in bits) for to in relabellings}
+
+
+def _least_in_orbit(n: int) -> list[int]:
+    """For every edge mask on n vertices, the least mask of its orbit under
+    vertex relabelling.  Masks are walked in ascending order, so the first
+    one not yet seen is the least of its orbit; total work is classes x n!."""
+    relabellings = _relabellings(n)
+    least = [-1] * (1 << n * (n - 1) // 2)
+    for mask in range(len(least)):
+        if least[mask] < 0:
+            for member in _orbit(mask, relabellings):
+                least[member] = mask
+    return least
+
+
+def _keep(G: SimpleGraph, config: SweepConfig) -> bool:
+    if config.connected_only and not G.is_connected():
+        return False
+    return not (config.chordal_only and not G.is_chordal()[0])
+
+
+def _classified_graphs(config: SweepConfig) -> Iterator[tuple[SimpleGraph, tuple[int, int]]]:
+    """The graphs of ``enumerate_graphs``, each with its isomorphism class
+    (n, least edge mask of its orbit).  The filters do not depend on labels,
+    so each is decided once per class, on its least mask."""
+    for n in range(config.n_min, config.n_max + 1):
+        slots = _edge_slots(n)
+        if config.complete_only:
+            G = complete_graph(n)
+            if _keep(G, config):
+                yield G, (n, (1 << len(slots)) - 1)
+            continue
+        kept: dict[int, bool] = {}
+        for mask, least in enumerate(_least_in_orbit(n)):
+            if kept.get(least) is False:
+                continue
+            G = _graph_from_mask(n, mask, slots)
+            if least not in kept:
+                kept[least] = _keep(G, config)
+                if not kept[least]:
+                    continue
+            yield G, (n, least)
+
+
 def enumerate_graphs(config: SweepConfig) -> Iterator[SimpleGraph]:
     """All labelled graphs in range, filtered per config, in deterministic
     order (vertex count ascending, then edge bitmask ascending)."""
-    for n in range(config.n_min, config.n_max + 1):
-        if config.complete_only:
-            G = complete_graph(n)
-            if config.chordal_only and not G.is_chordal()[0]:
-                continue
-            yield G
-            continue
-        slots = _edge_slots(n)
-        for mask in range(1 << len(slots)):
-            G = _graph_from_mask(n, mask, slots)
-            if config.connected_only and not G.is_connected():
-                continue
-            if config.chordal_only and not G.is_chordal()[0]:
-                continue
-            yield G
+    for G, _ in _classified_graphs(config):
+        yield G
 
 
 def canonical_edge_mask(G: SimpleGraph) -> tuple[int, int]:
     """(n, least edge bitmask over all vertex relabellings); an isomorphism
     invariant for the summary's dedup pass."""
     n = G.nvertices
-    slots = _edge_slots(n)
-    slot_index = {e: k for k, e in enumerate(slots)}
-    best = None
-    for perm in permutations(range(1, n + 1)):
-        mask = 0
-        for u, v in G.edges:
-            a, b = perm[u - 1], perm[v - 1]
-            mask |= 1 << slot_index[(min(a, b), max(a, b))]
-        if best is None or mask < best:
-            best = mask
-    return n, best or 0
+    slot_index = {e: k for k, e in enumerate(_edge_slots(n))}
+    mask = sum(1 << slot_index[e] for e in G.edges)
+    return n, min(_orbit(mask, _relabellings(n)))
 
 
 class _RowBudgetExceeded(Exception):
@@ -148,67 +196,72 @@ def _run_with_budget(func, budget_s: float):
         signal.signal(signal.SIGALRM, old)
 
 
+def _decide(G: SimpleGraph, t: int, config: SweepConfig) -> tuple:
+    """(cwl, failing degree, generator count, status) of one graph at t."""
+
+    def row():
+        ideal = cover_ideal(G, t)
+        report = is_componentwise_linear(ideal, config.field, with_certificate=False)
+        return report.overall, report.failing_degree(), len(ideal.generators), "ok"
+
+    try:
+        return _run_with_budget(row, config.row_budget_s)
+    except _RowBudgetExceeded:
+        return None, None, None, "skipped: budget"
+    except CapacityError as exc:
+        return None, None, None, f"skipped: capacity ({exc})"
+
+
 def sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
-    """One record per (graph, t); summary with per-t pass/fail counts and
-    failing graphs deduplicated up to relabelling."""
+    """One record per (labelled graph, t); summary with per-t pass/fail
+    counts and failing graphs deduplicated up to relabelling.
+
+    The cover ideal and its verdict are computed once per (isomorphism
+    class, t), on the class's first graph in enumeration order, and copied
+    to every other member: a row budget or capacity skip is likewise decided
+    once and every member carries the same status.  A row's ``ms`` is the
+    time spent on that row, so the class's first member carries the
+    computation and the others only the lookup."""
     records: list[SweepRecord] = []
+    classes: list[tuple[int, int]] = []
     warnings: list[str] = []
-    for G in enumerate_graphs(config):
-        chordal = G.is_chordal()[0]
+    chordal_of: dict[tuple[int, int], bool] = {}
+    decided: dict[tuple, tuple] = {}
+    for G, cls in _classified_graphs(config):
+        if cls not in chordal_of:
+            chordal_of[cls] = G.is_chordal()[0]
+        chordal = chordal_of[cls]
+        edges = tuple(G.edge_list())
         for t in sorted(config.t_set):
             start = time.perf_counter()
-
-            def row():
-                ideal = cover_ideal(G, t)
-                report = is_componentwise_linear(
-                    ideal, config.field, with_certificate=False
+            if (cls, t) not in decided:
+                decided[cls, t] = _decide(G, t, config)
+            cwl, failing_degree, gens, status = decided[cls, t]
+            ms = (time.perf_counter() - start) * 1000
+            records.append(
+                SweepRecord(
+                    G.nvertices, t, edges, chordal, cwl, failing_degree, gens, ms, status
                 )
-                return len(ideal.generators), report
-
-            try:
-                gens, report = _run_with_budget(row, config.row_budget_s)
-                ms = (time.perf_counter() - start) * 1000
-                records.append(
-                    SweepRecord(
-                        G.nvertices,
-                        t,
-                        tuple(G.edge_list()),
-                        chordal,
-                        report.overall,
-                        report.failing_degree(),
-                        gens,
-                        ms,
-                    )
+            )
+            classes.append(cls)
+            if chordal and t == 1 and cwl is False:
+                warnings.append(
+                    f"chordal graph {G.edge_list()} failed at t=1; "
+                    "this contradicts the chordal case and indicates a bug"
                 )
-                if chordal and t == 1 and not report.overall:
-                    warnings.append(
-                        f"chordal graph {G.edge_list()} failed at t=1; "
-                        "this contradicts the chordal case and indicates a bug"
-                    )
-            except _RowBudgetExceeded:
-                ms = (time.perf_counter() - start) * 1000
-                records.append(
-                    SweepRecord(
-                        G.nvertices, t, tuple(G.edge_list()), chordal,
-                        None, None, None, ms, status="skipped: budget",
-                    )
-                )
-            except CapacityError as exc:
-                ms = (time.perf_counter() - start) * 1000
-                records.append(
-                    SweepRecord(
-                        G.nvertices, t, tuple(G.edge_list()), chordal,
-                        None, None, None, ms, status=f"skipped: capacity ({exc})",
-                    )
-                )
-    summary = _summarize(records, warnings)
+    summary = _summarize(records, classes, warnings)
     return records, summary
 
 
-def _summarize(records: list[SweepRecord], warnings: list[str]) -> dict:
+def _summarize(
+    records: list[SweepRecord], classes: list[tuple[int, int]], warnings: list[str]
+) -> dict:
+    """``classes[k]`` is the isomorphism class of ``records[k]``'s graph;
+    each failing class is named by ``canonical_edge_mask`` once."""
     per_t: dict[int, dict] = {}
     fail_classes: dict[int, set] = {}
-    for rec in records:
+    names: dict[tuple[int, int], tuple[int, int]] = {}
+    for rec, cls in zip(records, classes):
         bucket = per_t.setdefault(
             rec.t, {"rows": 0, "cwl_pass": 0, "cwl_fail": 0, "skipped": 0}
         )
@@ -219,8 +272,9 @@ def _summarize(records: list[SweepRecord], warnings: list[str]) -> dict:
             bucket["cwl_pass"] += 1
         else:
             bucket["cwl_fail"] += 1
-            G = SimpleGraph(rec.n, rec.edges)
-            fail_classes.setdefault(rec.t, set()).add(canonical_edge_mask(G))
+            if cls not in names:
+                names[cls] = canonical_edge_mask(SimpleGraph(rec.n, rec.edges))
+            fail_classes.setdefault(rec.t, set()).add(names[cls])
     summary = {
         "rows": len(records),
         "per_t": {

@@ -1,7 +1,11 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from coverideals import search
+from coverideals.errors import CapacityError
 from coverideals.graphs import SimpleGraph, counterexample_graph
 from coverideals.resolution import is_componentwise_linear
 from coverideals.graphs import cover_ideal
@@ -91,8 +95,27 @@ def test_relabelled_failures_share_failing_degree():
     assert all(r.cwl is False and r.failing_degree == 4 for r in in_class)
 
 
+def test_orbits_partition_the_edge_masks():
+    # OEIS A000088: graphs on n unlabelled vertices
+    for n, count in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+        least = search._least_in_orbit(n)
+        reps = sorted(set(least))
+        assert len(reps) == count
+        relabellings = search._relabellings(n)
+        orbits = [search._orbit(rep, relabellings) for rep in reps]
+        assert sum(len(o) for o in orbits) == 2 ** (n * (n - 1) // 2)
+        assert set().union(*orbits) == set(range(len(least)))
+        assert all(min(o) == rep for o, rep in zip(orbits, reps))
+        if n <= 5:
+            slots = search._edge_slots(n)
+            for mask, rep in enumerate(least):
+                G = search._graph_from_mask(n, mask, slots)
+                assert canonical_edge_mask(G) == (n, rep)
+
+
 def test_records_match_fresh_verdicts():
-    records, _ = sweep(SweepConfig(n_min=3, n_max=3, t_set=(1, 2)))
+    # differential check: class reuse against one computation per graph
+    records, _ = sweep(SweepConfig(n_min=3, n_max=4, t_set=(1, 2)))
     for r in records:
         ideal = cover_ideal(SimpleGraph(r.n, r.edges), r.t)
         fresh = is_componentwise_linear(ideal, with_certificate=False)
@@ -142,3 +165,51 @@ def test_edgeless_and_single_edge_rows_trivially_pass():
     by_edges = {r.edges: r for r in records}
     assert by_edges[()].cwl is True  # unit ideal
     assert by_edges[((1, 2),)].cwl is True  # power of a prime
+
+
+def test_verdicts_are_decided_once_per_class(monkeypatch):
+    config = SweepConfig(n_min=4, n_max=4, t_set=(1, 2))
+    plain, _ = sweep(config)
+    refused = canonical_edge_mask(counterexample_graph())
+    graph_of_call = []
+    calls = Counter()
+
+    def recording_cover_ideal(G, t):
+        graph_of_call.append((canonical_edge_mask(G), t))
+        return cover_ideal(G, t)
+
+    def stub(ideal, *args, **kwargs):
+        cls, t = graph_of_call[-1]
+        calls[cls, t] += 1
+        if cls == refused:
+            raise CapacityError("stub refusal")
+        return is_componentwise_linear(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(search, "cover_ideal", recording_cover_ideal)
+    monkeypatch.setattr(search, "is_componentwise_linear", stub)
+    records, summary = sweep(config)
+
+    assert len(calls) == 11 * 2 and set(calls.values()) == {1}
+    assert len(records) == len(plain) == 64 * 2
+    in_class = 0
+    for rec, ref in zip(records, plain):
+        assert rec.edges == ref.edges and rec.t == ref.t
+        if canonical_edge_mask(SimpleGraph(rec.n, rec.edges)) == refused:
+            in_class += 1
+            assert rec.status == "skipped: capacity (stub refusal)"
+            assert (rec.cwl, rec.failing_degree, rec.generator_count) == (None, None, None)
+        else:
+            assert (rec.cwl, rec.failing_degree, rec.generator_count, rec.status) == (
+                ref.cwl, ref.failing_degree, ref.generator_count, ref.status)
+    assert in_class == 6 * 2
+    assert summary["per_t"]["2"]["skipped"] == 6
+
+
+def test_n5_sweep_output_is_frozen():
+    # sha256 of the output of the earlier sweep that decided every labelled
+    # graph on its own
+    records, summary = sweep(SweepConfig(n_min=5, n_max=5, t_set=(1, 2)))
+    text = to_jsonl(records, summary, include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "de526e91ba69a88997760df8b41d4ac90bce43c798a176646f96aae9c901ac6b"
+    )
