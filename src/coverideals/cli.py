@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .monomials import MonomialIdeal, format_monomial, load_ideal
 from .resolution import (
-    DEFAULT_TAYLOR_CAP,
     betti_table,
     find_linear_quotient_order,
     is_componentwise_linear,
@@ -103,9 +102,7 @@ def _cmd_gens(args) -> int:
             raise ValueError("--closed-form applies to --complete graphs only")
         ideal = knt_closed_form(args.complete, args.t)
     else:
-        G = _resolve_graph(args)
-        method = "t_covers" if args.method == "t-covers" else "iterated_intersection"
-        ideal = cover_ideal(G, args.t, method=method)
+        ideal = cover_ideal(_resolve_graph(args), args.t)
     gens = [format_monomial(g) for g in ideal.generators]
     if args.format == "json":
         print(
@@ -155,7 +152,7 @@ def _cmd_betti(args) -> int:
     ideal = _resolve_ideal(args)
     if args.component is not None:
         ideal = ideal.component(args.component)
-    table = betti_table(ideal, field, engine=args.engine, taylor_cap=args.taylor_cap)
+    table = betti_table(ideal, field, engine=args.engine)
     if args.format == "json":
         out = table.to_json_dict()
         if not args.multigraded:
@@ -324,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the complete-graph closed form instead of intersecting",
     )
-    p.add_argument(
-        "--method",
-        choices=("intersection", "t-covers"),
-        default="intersection",
-        help="generator construction route",
-    )
     _add_common(p)
     p.set_defaults(func=_cmd_gens)
 
@@ -353,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, metavar="D", help="restrict to degree D")
     p.add_argument("--multigraded", action="store_true", help="include multidegrees")
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
-    p.add_argument("--taylor-cap", type=int, default=DEFAULT_TAYLOR_CAP)
     _add_common(p)
     p.set_defaults(func=_cmd_betti)
 

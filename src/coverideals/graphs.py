@@ -157,30 +157,22 @@ def minimal_vertex_covers(G: SimpleGraph) -> list[tuple[int, ...]]:
     )
 
 
-def minimal_t_covers(
-    G: SimpleGraph, t: int, method: str = "scan"
-) -> list[tuple[int, ...]]:
+def minimal_t_covers(G: SimpleGraph, t: int) -> list[tuple[int, ...]]:
     """All componentwise-minimal vectors a with a_i + a_j >= t on every edge.
 
     Entries are capped at t, which loses nothing: min(a, t) is a t-cover
-    dividing a.  ``method="scan"`` is an exhaustive pruned scan of {0..t}^n
-    (fine up to n ~ 8); ``method="intersection"`` reads the vectors off the
-    iterated-intersection cover ideal instead.
+    dividing a.  The vectors come from an exhaustive pruned scan of
+    {0..t}^n (fine up to n ~ 8), independent of ``cover_ideal``, which
+    tests compare it against.
     """
     if t < 1:
         raise ValueError("cover order t must be >= 1")
-    if method == "intersection":
-        ideal = cover_ideal(G, t, method="iterated_intersection")
-        return sorted(g.exponents for g in ideal.generators)
-    if method != "scan":
-        raise ValueError(f"unknown method {method!r}")
     n = G.nvertices
     if not G.edges:
         return [(0,) * n]
     if (t + 1) ** n > SCAN_STATES_CAP:
         raise CapacityError(
-            f"scanning {{0..{t}}}^{n} is past the cap; "
-            "use method='intersection'"
+            f"scanning {{0..{t}}}^{n} is past the cap; use cover_ideal"
         )
     lower_edges: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in G.edges:
@@ -244,25 +236,18 @@ def _edge_prime_power(n: int, u: int, v: int, t: int) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def cover_ideal(
-    G: SimpleGraph, t: int, method: str = "iterated_intersection"
-) -> MonomialIdeal:
+def cover_ideal(G: SimpleGraph, t: int) -> MonomialIdeal:
     """The intersection of <x_i, x_j>^t over all edges of G.
 
-    Both methods return the same minimal generating set; the iterated
-    intersection (default) scales past the brute scan's n <= 8 comfort zone
-    when edges sharing high-numbered vertices are merged last.
+    Its minimal generators are the minimal t-covers.  The intersection is
+    iterated edge by edge, merging edges that share high-numbered vertices
+    last, which scales past the t-cover scan's n <= 8 comfort zone.
     """
     if t < 1:
         raise ValueError("cover order t must be >= 1")
     n = G.nvertices
     if not G.edges:
         return MonomialIdeal.unit(n)
-    if method == "t_covers":
-        vectors = minimal_t_covers(G, t, method="scan")
-        return MonomialIdeal(n, [Monomial(v) for v in vectors])
-    if method != "iterated_intersection":
-        raise ValueError(f"unknown method {method!r}")
     result = MonomialIdeal.unit(n)
     for u, v in sorted(G.edges, key=lambda e: (e[1], e[0])):
         result = result.intersect(_edge_prime_power(n, u, v, t))

@@ -1,6 +1,7 @@
 """Multigraded Betti numbers of monomial ideals and linearity tests.
 
-Two independent engines compute the same table:
+Two engines build different chain complexes for the same table and take
+their homology with one routine, ``_homology``, whose faces are bitmasks:
 
 * ``taylor_strand_betti`` works straight from the subset complex of the
   generators; the strand of the complex at a fixed multidegree, with the
@@ -19,9 +20,11 @@ Two independent engines compute the same table:
   bitmask), has its homology computed once per call.  A box past
   ``BOX_CAP`` cells raises CapacityError before anything is allocated.
 
-Linear resolutions, componentwise linearity, linear quotients (with order
-search), the polymatroidal exchange condition, and first-syzygy degree
-bounds are layered on top.
+``betti_table(engine="auto")`` uses the Taylor engine up to ``TAYLOR_CAP``
+generators and the Koszul engine past it.  Linear resolutions,
+componentwise linearity, linear quotients (with order search), the
+polymatroidal exchange condition, and first-syzygy degree bounds are
+layered on top.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .errors import CapacityError, NotEquigeneratedError
 from .linalg import matrix_rank
 from .monomials import Monomial, MonomialIdeal
 
-DEFAULT_TAYLOR_CAP = 14
+# Generator count past which the subset-complex engine refuses an ideal and
+# ``engine="auto"`` switches to the lcm-lattice engine.
+TAYLOR_CAP = 14
 BACKTRACKING_CAP = 20
 # Cells of the compressed divisor box past which the lcm-lattice engine
 # refuses an ideal.  Every degree component of J_{K_n}(t) with n <= 7 and
@@ -92,11 +97,6 @@ class BettiTable:
         for (i, a), r in self.multigraded.items():
             coarse[(i, sum(a))] += r
         self.coarse = dict(coarse)
-
-    def multigraded_entries(self) -> list[tuple[int, tuple, int]]:
-        return sorted(
-            (i, a, r) for (i, a), r in self.multigraded.items()
-        )
 
     def coarse_entries(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, r) for (i, j), r in self.coarse.items())
@@ -159,34 +159,48 @@ def simplicial_homology_ranks(
     face_set.add(frozenset())
     if face_set != downward_closure(face_set):
         raise ValueError("faces are not closed under taking subsets")
-    return _reduced_homology(face_set, field)
+    bit = {v: 1 << k for k, v in enumerate(sorted(set().union(*face_set)))}
+    ranks = _homology([sum(bit[v] for v in f) for f in face_set], field)
+    return [ranks[size] for size in range(len(ranks))]
 
 
-def _reduced_homology(face_set: set[frozenset], field: FieldChoice) -> list[int]:
-    by_dim: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for f in face_set:
-        by_dim[len(f) - 1].append(tuple(sorted(f)))
-    top = max(by_dim)
-    for d in by_dim:
-        by_dim[d].sort()
-    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in by_dim.items()}
-    # rank of each boundary map d_k : C_k -> C_{k-1}
+def _homology(faces: Iterable[int], field: FieldChoice) -> dict[int, int]:
+    """Homology ranks of a chain complex of bitmask faces, by face size.
+
+    The boundary of a face drops one set bit at a time, with sign
+    (-1)^(number of set bits below it), and keeps only the sub-faces that
+    are themselves faces.  For a simplicial complex (empty face included)
+    the rank at size s is reduced homology in dimension s-1.
+    """
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for f in faces:
+        by_size[f.bit_count()].append(f)
+    # a face's position among the faces of its size: its row in the
+    # boundary matrix of the next size up
+    index = {f: i for fs in by_size.values() for i, f in enumerate(fs)}
     bd_rank: dict[int, int] = {}
-    for d in range(0, top + 1):
+    for size, fs in by_size.items():
+        if size - 1 not in by_size:
+            bd_rank[size] = 0
+            continue
         cols = []
-        lower = index.get(d - 1, {})
-        for f in by_dim.get(d, []):
+        for f in fs:
             col = {}
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1 :]
-                col[lower[sub]] = -1 if pos % 2 else 1
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                row = index.get(f ^ low)
+                if row is not None:
+                    col[row] = sign
+                sign = -sign
+                rest ^= low
             cols.append(col)
-        bd_rank[d] = matrix_rank(cols, field.p) if cols and lower else 0
-    ranks = []
-    for d in range(-1, top + 1):
-        dim_c = len(by_dim.get(d, []))
-        ranks.append(dim_c - bd_rank.get(d, 0) - bd_rank.get(d + 1, 0))
-    return ranks
+        bd_rank[size] = matrix_rank(cols, field.p)
+    return {
+        size: len(fs) - bd_rank[size] - bd_rank.get(size + 1, 0)
+        for size, fs in by_size.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +208,17 @@ def _reduced_homology(face_set: set[frozenset], field: FieldChoice) -> list[int]
 
 
 def taylor_strand_betti(
-    ideal: MonomialIdeal,
-    field: FieldChoice = RATIONALS,
-    cap: int = DEFAULT_TAYLOR_CAP,
+    ideal: MonomialIdeal, field: FieldChoice = RATIONALS
 ) -> BettiTable:
     """Multigraded Betti numbers from the strands of the generator-subset
-    complex.  Exponential in the generator count; the cap (default 14)
-    rejects inputs where ``koszul_betti`` should be used instead."""
+    complex.  Exponential in the generator count; past ``TAYLOR_CAP`` (14)
+    generators it raises CapacityError, and ``koszul_betti`` should be used
+    instead."""
     gens = ideal.generators
     g = len(gens)
-    if g > cap:
+    if g > TAYLOR_CAP:
         raise CapacityError(
-            f"{g} generators exceeds the subset-complex cap {cap}; "
+            f"{g} generators exceeds the subset-complex cap {TAYLOR_CAP}; "
             "use koszul_betti"
         )
     if g == 0:
@@ -219,34 +232,14 @@ def taylor_strand_betti(
         e = exps[low.bit_length() - 1]
         lcm_of[mask] = e if not rest else tuple(map(max, lcm_of[rest], e))
 
-    strata: dict[tuple, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    strata: dict[tuple, list[int]] = defaultdict(list)
     for mask in range(1, nmasks):
-        strata[lcm_of[mask]][mask.bit_count()].append(mask)
+        strata[lcm_of[mask]].append(mask)
 
     multigraded: dict[tuple, int] = {}
-    for a, by_size in strata.items():
-        index = {
-            size: {mask: i for i, mask in enumerate(masks)}
-            for size, masks in by_size.items()
-        }
-        bd_rank: dict[int, int] = {}
-        for size, masks in by_size.items():
-            lower = index.get(size - 1)
-            if not lower:
-                bd_rank[size] = 0
-                continue
-            cols = []
-            for mask in masks:
-                col = {}
-                bits = [b for b in range(g) if mask >> b & 1]
-                for pos, b in enumerate(bits):
-                    sub = mask ^ (1 << b)
-                    if lcm_of[sub] == a:
-                        col[lower[sub]] = -1 if pos % 2 else 1
-                cols.append(col)
-            bd_rank[size] = matrix_rank(cols, field.p)
-        for size, masks in by_size.items():
-            h = len(masks) - bd_rank.get(size, 0) - bd_rank.get(size + 1, 0)
+    for a, masks in strata.items():
+        for size, h in _homology(masks, field).items():
+            # a strand face of `size` generators sits in homological degree size-1
             if h:
                 multigraded[(size - 1, a)] = h
     return BettiTable(ideal.nvars, field, multigraded)
@@ -319,16 +312,6 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     return _DivisorBox(ideal).lattice
 
 
-def _mask_faces(nverts: int, mask: int) -> set[frozenset]:
-    """The faces of a complex on vertices 0..nverts-1 given as a bitmask
-    over subsets: bit k set means the subset with bit pattern k is a face."""
-    return {
-        frozenset(j for j in range(nverts) if k >> j & 1)
-        for k in range(1 << nverts)
-        if mask >> k & 1
-    }
-
-
 def koszul_betti(
     ideal: MonomialIdeal, field: FieldChoice = RATIONALS
 ) -> BettiTable:
@@ -348,7 +331,7 @@ def koszul_betti(
     """
     box = _DivisorBox(ideal)
     reach, strides = box.reach, box.strides
-    homology: dict[tuple[int, int], list[int]] = {}
+    homology: dict[tuple[int, int], dict[int, int]] = {}
     multigraded: dict[tuple, int] = {}
     for a in lcm_lattice(ideal):
         idx = box.cell(a)
@@ -358,6 +341,7 @@ def koszul_betti(
         steps = [0]
         for i in support:
             steps += [d + strides[i] for d in steps]
+        # bit k of mask: the face with bit pattern k over the support
         mask = 0
         for k, d in enumerate(steps):
             if reach[idx - d]:
@@ -365,9 +349,10 @@ def koszul_betti(
         key = (len(support), mask)
         ranks = homology.get(key)
         if ranks is None:
-            ranks = homology[key] = _reduced_homology(_mask_faces(*key), field)
-        for i, r in enumerate(ranks):
-            # ranks[i] is reduced homology in dimension i-1 = beta_{i,a}
+            faces = [k for k in range(len(steps)) if mask >> k & 1]
+            ranks = homology[key] = _homology(faces, field)
+        for i, r in ranks.items():
+            # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
             if r:
                 multigraded[(i, a)] = r
     return BettiTable(ideal.nvars, field, multigraded)
@@ -377,15 +362,14 @@ def betti_table(
     ideal: MonomialIdeal,
     field: FieldChoice = RATIONALS,
     engine: str = "auto",
-    taylor_cap: int = DEFAULT_TAYLOR_CAP,
 ) -> BettiTable:
     if engine == "taylor":
-        return taylor_strand_betti(ideal, field, cap=taylor_cap)
+        return taylor_strand_betti(ideal, field)
     if engine == "koszul":
         return koszul_betti(ideal, field)
     if engine == "auto":
-        if len(ideal.generators) <= taylor_cap:
-            return taylor_strand_betti(ideal, field, cap=taylor_cap)
+        if len(ideal.generators) <= TAYLOR_CAP:
+            return taylor_strand_betti(ideal, field)
         return koszul_betti(ideal, field)
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -411,7 +395,6 @@ def has_linear_resolution(
     ideal: MonomialIdeal,
     field: FieldChoice = RATIONALS,
     engine: str = "auto",
-    taylor_cap: int = DEFAULT_TAYLOR_CAP,
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """For an ideal generated in a single degree d: is every nonzero coarse
     Betti entry at (i, i+d)?  Returns (verdict, offending (i, j) or None)."""
@@ -422,7 +405,7 @@ def has_linear_resolution(
             f"generator degrees {sorted(set(ideal.degrees()))} are not equal"
         )
     d = ideal.min_degree()
-    table = betti_table(ideal, field, engine, taylor_cap)
+    table = betti_table(ideal, field, engine)
     for i, j, _ in table.coarse_entries():
         if j != i + d:
             return False, (i, j)
@@ -480,7 +463,6 @@ def is_componentwise_linear(
     field: FieldChoice = RATIONALS,
     engine: str = "auto",
     extra_degrees: int = 0,
-    taylor_cap: int = DEFAULT_TAYLOR_CAP,
     with_certificate: bool = True,
 ) -> CwlReport:
     """Check a linear resolution for every degree component of the ideal.
@@ -501,7 +483,7 @@ def is_componentwise_linear(
         if comp.is_zero():
             verdicts.append(DegreeVerdict(d, "zero component"))
             continue
-        ok, offending = has_linear_resolution(comp, field, engine, taylor_cap)
+        ok, offending = has_linear_resolution(comp, field, engine)
         if ok:
             verdicts.append(DegreeVerdict(d, "linear"))
         else:

@@ -20,6 +20,7 @@ from coverideals.graphs import (
     counterexample_graph,
     cover_ideal,
     knt_closed_form,
+    minimal_t_covers,
     theorem_order,
 )
 from coverideals.monomials import Monomial, MonomialIdeal, minimalize, parse_monomial
@@ -99,9 +100,10 @@ def test_criterion_2_closed_form_vs_brute_force():
     ok = True
     for n in (3, 4, 5):
         for t in (1, 2, 3, 4, 5, 6):
+            K = complete_graph(n)
             closed = knt_closed_form(n, t)
-            scan = cover_ideal(complete_graph(n), t, method="t_covers")
-            inter = cover_ideal(complete_graph(n), t, method="iterated_intersection")
+            scan = MonomialIdeal(n, [Monomial(v) for v in minimal_t_covers(K, t)])
+            inter = cover_ideal(K, t)
             m, odd = divmod(t, 2)
             expected_count = n * (m + 1) if odd else 1 + n * m
             ok &= closed == scan == inter

@@ -15,7 +15,13 @@ from coverideals.graphs import (
     parse_graph,
     theorem_order,
 )
-from coverideals.monomials import Monomial
+from coverideals.monomials import Monomial, MonomialIdeal
+
+
+def scan_ideal(G, t):
+    """The cover ideal generated by the t-cover scan, the oracle for
+    ``cover_ideal``."""
+    return MonomialIdeal(G.nvertices, [Monomial(v) for v in minimal_t_covers(G, t)])
 
 
 def chordless_cycle_exists(G):
@@ -190,7 +196,8 @@ def test_capping_above_t_is_lossless():
 def test_t_cover_methods_agree():
     for t in (1, 2, 3):
         for G in (counterexample_graph(), complete_graph(4)):
-            assert minimal_t_covers(G, t) == minimal_t_covers(G, t, "intersection")
+            intersection = sorted(g.exponents for g in cover_ideal(G, t))
+            assert minimal_t_covers(G, t) == intersection
 
 
 def test_scan_capacity_guard():
@@ -235,7 +242,7 @@ def test_cover_ideal_of_edgeless_graph_is_unit():
 
 def test_cover_ideal_methods_agree_k3_t2():
     G = complete_graph(3)
-    assert cover_ideal(G, 2) == cover_ideal(G, 2, method="t_covers")
+    assert cover_ideal(G, 2) == scan_ideal(G, 2)
     expected = {(1, 1, 1), (0, 2, 2), (2, 0, 2), (2, 2, 0)}
     assert set(m.exponents for m in cover_ideal(G, 2)) == expected
 
@@ -260,7 +267,7 @@ def test_closed_form_matches_brute_force_small():
         for t in (1, 2, 3, 4, 5, 6, 7):
             K = complete_graph(n)
             closed = knt_closed_form(n, t)
-            assert closed == cover_ideal(K, t, method="t_covers"), (n, t)
+            assert closed == scan_ideal(K, t), (n, t)
             assert closed == cover_ideal(K, t), (n, t)
 
 
