@@ -7,7 +7,11 @@ pivot column with the same lowest row until its lowest row is fresh.
 
 Over the rationals the updates are fraction-free: columns stay integral and
 are divided by their content after every combination, which keeps entries
-small without ever rounding.  Over GF(p) arithmetic is plain modular.
+small without ever rounding.  Over GF(p) for odd p arithmetic is plain
+modular.  Over GF(2) each column is packed into one Python int whose set
+bits are the rows of its odd entries, and reduction is XOR against the
+pivot column with the same highest set bit, as in persistent-homology codes
+(Bauer, "Ripser", J. Appl. Comput. Topol. 2021).
 """
 
 from __future__ import annotations
@@ -17,13 +21,16 @@ from typing import Iterable
 
 
 def matrix_rank(columns: Iterable[dict], p: int | None = None) -> int:
-    """Rank of the matrix whose columns are {row_index: value} dicts.
+    """Rank of the matrix whose columns are {row_index: value} dicts, with
+    non-negative integer row indices and integer values.
 
     ``p`` selects GF(p); ``None`` means exact rank over the rationals.
     Input dicts are not modified.
     """
     if p is None:
         return _rank_rationals(columns)
+    if p == 2:
+        return _rank_mod_2(columns)
     return _rank_mod_p(columns, p)
 
 
@@ -89,3 +96,20 @@ def _rank_mod_p(columns: Iterable[dict], p: int) -> int:
                     new.pop(r, None)
             col = new
     return rank
+
+
+def _rank_mod_2(columns: Iterable[dict]) -> int:
+    pivots: dict[int, int] = {}  # highest set bit -> packed pivot column
+    for col in columns:
+        x = 0
+        for r, v in col.items():
+            if v & 1:
+                x |= 1 << r
+        while x:
+            top = x.bit_length() - 1
+            piv = pivots.get(top)
+            if piv is None:
+                pivots[top] = x
+                break
+            x ^= piv
+    return len(pivots)

@@ -20,6 +20,12 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   bitmask), has its homology computed once per call.  A box past
   ``BOX_CAP`` cells raises CapacityError before anything is allocated.
 
+Over Q, ``_homology`` ranks every boundary mod 2 first (the packed GF(2)
+kernel of ``matrix_rank``).  Integer boundaries with d^2 = 0 make those
+ranks the rational ones wherever the mod-2 ranks at a size add up to its
+face count; a boundary that neither of its end sizes certifies, which needs
+mod-2 homology there (the RP^2 triangulation), is ranked again exactly.
+
 ``betti_table(engine="auto")`` uses the Taylor engine up to ``TAYLOR_CAP``
 generators and the Koszul engine past it.  Linear resolutions,
 componentwise linearity, linear quotients (with order search), the
@@ -169,8 +175,16 @@ def _homology(faces: Iterable[int], field: FieldChoice) -> dict[int, int]:
 
     The boundary of a face drops one set bit at a time, with sign
     (-1)^(number of set bits below it), and keeps only the sub-faces that
-    are themselves faces.  For a simplicial complex (empty face included)
+    are themselves faces.  The faces must contain every set lying between
+    two of them, so that the boundary squares to zero: simplicial complexes
+    and Taylor strata do.  For a simplicial complex (empty face included)
     the rank at size s is reduced homology in dimension s-1.
+
+    Over Q every boundary is ranked mod 2 first.  Where the mod-2 ranks of
+    the two boundaries at a size add up to its face count, both are the
+    rational ranks; only a boundary that neither of its end sizes certifies
+    is eliminated again, exactly, over Q.  That happens only where mod-2
+    homology does not vanish at both ends, as on the RP^2 triangulation.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
     for f in faces:
@@ -178,29 +192,48 @@ def _homology(faces: Iterable[int], field: FieldChoice) -> dict[int, int]:
     # a face's position among the faces of its size: its row in the
     # boundary matrix of the next size up
     index = {f: i for fs in by_size.values() for i, f in enumerate(fs)}
-    bd_rank: dict[int, int] = {}
-    for size, fs in by_size.items():
-        if size - 1 not in by_size:
-            bd_rank[size] = 0
-            continue
-        cols = []
-        for f in fs:
-            col = {}
-            sign = 1
-            rest = f
-            while rest:
-                low = rest & -rest
-                row = index.get(f ^ low)
-                if row is not None:
-                    col[row] = sign
-                sign = -sign
-                rest ^= low
-            cols.append(col)
-        bd_rank[size] = matrix_rank(cols, field.p)
+    p = 2 if field.p is None else field.p
+    # bd_rank[s]: rank of the boundary from faces of size s to size s-1
+    bd_rank = {
+        size: matrix_rank(_boundary(fs, index), p) if size - 1 in by_size else 0
+        for size, fs in by_size.items()
+    }
+    if field.p is None:
+        # The boundary matrices are integral, so rank_Q >= rank_2 for each
+        # (a minor that is nonzero mod 2 is a nonzero integer), and
+        # d_s d_{s+1} = 0 gives rank_Q d_s + rank_Q d_{s+1} <= n_s.  At a
+        # size where rank_2 d_s + rank_2 d_{s+1} = n_s both inequalities
+        # are equalities, so both mod-2 ranks are the rational ones.
+        exact = {
+            size
+            for size, fs in by_size.items()
+            if bd_rank[size] + bd_rank.get(size + 1, 0) == len(fs)
+        }
+        for size, fs in by_size.items():
+            if size - 1 in by_size and size not in exact and size - 1 not in exact:
+                bd_rank[size] = matrix_rank(_boundary(fs, index), None)
     return {
         size: len(fs) - bd_rank[size] - bd_rank.get(size + 1, 0)
         for size, fs in by_size.items()
     }
+
+
+def _boundary(faces: list[int], index: dict[int, int]) -> list[dict]:
+    """Boundary matrix columns of ``faces``, rows numbered by ``index``."""
+    cols = []
+    for f in faces:
+        col = {}
+        sign = 1
+        rest = f
+        while rest:
+            low = rest & -rest
+            row = index.get(f ^ low)
+            if row is not None:
+                col[row] = sign
+            sign = -sign
+            rest ^= low
+        cols.append(col)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +291,15 @@ class _DivisorBox:
     of the exponent vectors.
     """
 
-    __slots__ = ("values", "strides", "reach", "lattice")
+    __slots__ = ("positions", "strides", "reach", "lattice")
 
     def __init__(self, ideal: MonomialIdeal):
         n = ideal.nvars
         gen_exps = [g.exponents for g in ideal.generators]
-        self.values = [sorted({0, *(e[i] for e in gen_exps)}) for i in range(n)]
-        lengths = [len(v) for v in self.values]
+        values = [sorted({0, *(e[i] for e in gen_exps)}) for i in range(n)]
+        # per axis: grid value -> position on the axis
+        self.positions = [{v: k for k, v in enumerate(vs)} for vs in values]
+        lengths = [len(v) for v in values]
         size = prod(lengths)
         if size > BOX_CAP:
             raise CapacityError(
@@ -295,14 +330,14 @@ class _DivisorBox:
             # an lcm of generators iff the generators dividing it attain it
             # on every axis of its support
             if r and r & support == support:
-                lattice.append(tuple(v[c] for v, c in zip(self.values, cell)))
+                lattice.append(tuple(v[c] for v, c in zip(values, cell)))
         self.reach = reach
         self.lattice = lattice
 
     def cell(self, exps: Sequence[int]) -> int:
         """Index of the cell of an exponent vector made of grid values."""
         return sum(
-            v.index(e) * s for v, e, s in zip(self.values, exps, self.strides)
+            pos[e] * s for pos, e, s in zip(self.positions, exps, self.strides)
         )
 
 

@@ -1,11 +1,14 @@
 import random
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverideals import resolution
 from coverideals.errors import CapacityError, NotEquigeneratedError
 from coverideals.graphs import complete_graph, counterexample_graph, cover_ideal
+from coverideals.linalg import matrix_rank
 from coverideals.monomials import Monomial, MonomialIdeal
 from coverideals.resolution import (
     BOX_CAP,
@@ -23,6 +26,7 @@ from coverideals.resolution import (
     simplicial_homology_ranks,
     taylor_strand_betti,
 )
+from test_linalg import reference_rank
 
 F2 = FieldChoice(2)
 
@@ -396,6 +400,85 @@ def test_projective_plane_ideal_betti_depends_on_field():
     assert has_linear_resolution(I, RATIONALS)[0]
     ok, offending = has_linear_resolution(I, F2)
     assert not ok and offending == (2, 6)
+
+
+def _closure(facets):
+    """Every sorted vertex tuple below one of the facets, the empty one too."""
+    return {
+        s for f in facets for r in range(len(f) + 1) for s in combinations(sorted(f), r)
+    }
+
+
+def _masks(faces):
+    """The faces as bitmasks: vertex (or generator) k is bit k."""
+    return [sum(1 << k for k in f) for f in faces]
+
+
+def reference_homology(faces, p):
+    """Homology ranks by face size of a family of sorted tuples, with the
+    simplicial boundary (-1)^i for the i-th entry dropped and ranks by
+    ``reference_rank``; it shares no code with ``_homology``."""
+    by_size = defaultdict(list)
+    for f in faces:
+        by_size[len(f)].append(f)
+    row = {f: k for fs in by_size.values() for k, f in enumerate(fs)}
+    bd_rank = defaultdict(int)
+    for size, fs in by_size.items():
+        cols = [
+            {row[f[:i] + f[i + 1:]]: (-1) ** i for i in range(size) if f[:i] + f[i + 1:] in row}
+            for f in fs
+        ]
+        bd_rank[size] = reference_rank(cols, p)
+    return {size: len(fs) - bd_rank[size] - bd_rank[size + 1] for size, fs in by_size.items()}
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The field argument of every ``matrix_rank`` call made by resolution."""
+    calls = []
+
+    def counting(columns, p=None):
+        calls.append(p)
+        return matrix_rank(columns, p)
+
+    monkeypatch.setattr(resolution, "matrix_rank", counting)
+    return calls
+
+
+def test_rational_ranks_are_certified_mod_2(rank_calls):
+    simplex = range(1 << 4)  # every subset of 4 vertices
+    assert resolution._homology(simplex, RATIONALS) == {s: 0 for s in range(5)}
+    # a cone is contractible even over the projective plane, whose own
+    # mod-2 homology does not vanish
+    cone = _closure(t + (7,) for t in PROJECTIVE_PLANE_TRIANGLES)
+    assert resolution._homology(_masks(cone), RATIONALS) == {s: 0 for s in range(5)}
+    assert rank_calls and set(rank_calls) == {2}
+    rp2 = resolution._homology(_masks(_closure(PROJECTIVE_PLANE_TRIANGLES)), RATIONALS)
+    assert [rp2[s] for s in range(4)] == [0, 0, 0, 0]
+    assert None in rank_calls
+
+
+def test_homology_matches_fraction_reference():
+    rng = random.Random(61)
+    complexes = [_closure(PROJECTIVE_PLANE_TRIANGLES)]
+    for _ in range(60):
+        nv = rng.randint(1, 7)
+        facets = [rng.sample(range(nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 5))]
+        complexes.append(_closure(facets))
+    for _ in range(30):
+        # Taylor strata: generator subsets grouped by their lcm
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 8))]
+        gens = [g.exponents for g in MonomialIdeal(n, [Monomial(g) for g in gens]).generators]
+        strata = defaultdict(list)
+        for r in range(1, len(gens) + 1):
+            for subset in combinations(range(len(gens)), r):
+                strata[tuple(map(max, zip(*(gens[k] for k in subset))))].append(subset)
+        complexes.extend(strata.values())
+    for faces in complexes:
+        for field in (RATIONALS, F2, FieldChoice(3)):
+            expected = reference_homology(faces, field.p)
+            assert resolution._homology(_masks(faces), field) == expected, faces
 
 
 # ---------------------------------------------------------------------------
