@@ -13,7 +13,7 @@ Graphs come from ``--graph FILE`` (format: ``graph <n>`` then ``u v`` lines),
 ``--complete N`` or ``--counterexample``; ideal-consuming commands also accept
 ``--ideal FILE`` (format: ``vars <n>`` then one monomial per line, e.g.
 ``x1^2*x3``).  Exit codes: 0 property holds, 1 property fails, 2 usage or
-input error, 3 capacity or budget.
+input error, 3 capacity (a size cap or the search row budget).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .resolution import (
     parse_field,
     polymatroidal_check,
 )
-from .search import SweepConfig, sweep, to_csv, to_jsonl
+from .search import ROW_BUDGET, SweepConfig, sweep, to_csv, to_jsonl
 
 
 def _add_graph_source(parser: argparse.ArgumentParser, with_ideal: bool) -> None:
@@ -125,9 +125,7 @@ def _cmd_gens(args) -> int:
 def _cmd_check_cwl(args) -> int:
     field = parse_field(args.field)
     ideal = _resolve_ideal(args)
-    report = is_componentwise_linear(
-        ideal, field, engine=args.engine, extra_degrees=args.extra_degrees
-    )
+    report = is_componentwise_linear(ideal, field, engine=args.engine)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
@@ -293,7 +291,7 @@ def _cmd_search(args) -> int:
         connected_only=args.connected_only,
         complete_only=args.complete_only,
         field=field,
-        row_budget_s=args.budget,
+        row_budget=args.budget,
     )
     records, summary = sweep(config)
     include_timing = not args.no_timing
@@ -328,13 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p, with_ideal=True)
     p.add_argument("--t", type=int, help="cover order (graph sources)")
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
-    p.add_argument(
-        "--extra-degrees",
-        type=int,
-        default=0,
-        metavar="K",
-        help="check K degrees past the top generator degree",
-    )
     _add_common(p)
     p.set_defaults(func=_cmd_check_cwl)
 
@@ -382,7 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="json is an alias for jsonl",
     )
     p.add_argument("--no-timing", action="store_true", help="omit wall times")
-    p.add_argument("--budget", type=float, default=30.0, help="per-row seconds")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=ROW_BUDGET,
+        metavar="N",
+        help="skip a row once its degree components hold more than N "
+        "generators in all (default %(default)s; 0 = no budget)",
+    )
     p.add_argument("--field", default=os.environ.get("CWL_FIELD", "Q"))
     p.set_defaults(func=_cmd_search)
 

@@ -9,9 +9,10 @@ class CapacityError(RuntimeError):
     """A configured size or budget cap was exceeded.
 
     Raised instead of silently attempting a computation that would blow up
-    (Taylor complexes past the generator cap, exponent overflow, exhaustive
-    scans past their intended range).  The message names the cheaper route
-    when one exists.
+    (Taylor complexes past the generator cap, divisor boxes past their cell
+    cap, exponent overflow, exhaustive scans past their intended range, and a
+    search row whose degree components exceed the row budget).  The CLI
+    exits with code 3.  The message names the cheaper route when one exists.
     """
 
 

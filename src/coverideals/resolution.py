@@ -497,7 +497,7 @@ def is_componentwise_linear(
     ideal: MonomialIdeal,
     field: FieldChoice = RATIONALS,
     engine: str = "auto",
-    extra_degrees: int = 0,
+    budget: int = 0,
     with_certificate: bool = True,
 ) -> CwlReport:
     """Check a linear resolution for every degree component of the ideal.
@@ -505,16 +505,30 @@ def is_componentwise_linear(
     Degrees from the smallest to the largest minimal-generator degree
     suffice: past the top degree each component is the maximal-ideal
     multiple of the previous one, which preserves having a linear
-    resolution.  ``extra_degrees`` extends the sweep anyway for empirical
-    comfort.
+    resolution (Herzog-Hibi, Nagoya Math. J. 1999).
+
+    ``budget`` caps the generators summed over the components built so far
+    (0 means no cap).  The sum is checked after each component is built and
+    before its Betti table; crossing it raises ``CapacityError``.  It
+    depends on the ideal alone, so the same ideals are refused on every host
+    and thread.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0 (0 means no budget)")
     if ideal.is_zero():
         return CwlReport(ideal.nvars, field, (), True, vacuous=True)
-    lo, hi = ideal.min_degree(), ideal.max_degree() + extra_degrees
+    lo, hi = ideal.min_degree(), ideal.max_degree()
     verdicts = []
     overall = True
+    built = 0
     for d in range(lo, hi + 1):
         comp = ideal.component(d)
+        built += len(comp.generators)
+        if budget and built > budget:
+            raise CapacityError(
+                f"the degree-{lo}..{d} components have {built} generators; "
+                f"beyond the row budget of {budget}"
+            )
         if comp.is_zero():
             verdicts.append(DegreeVerdict(d, "zero component"))
             continue

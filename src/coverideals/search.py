@@ -9,15 +9,19 @@ The verdict, failing degree and generator count do not change when the
 vertices are relabelled, so each is computed once per isomorphism class and
 copied to every labelled member.  The classes come from orbit enumeration:
 the n! relabellings are applied to the least edge mask of each class, about
-112k mappings for the 156 classes on 6 vertices.  A budget or capacity skip
-is decided per class too, and a row's ``ms`` is the time spent on that row:
+112k mappings for the 156 classes on 6 vertices.  A capacity skip is
+decided per class too, and a row's ``ms`` is the time spent on that row:
 the computation for the class's first member, a lookup for the others.
+
+A row is skipped when a cap raises ``CapacityError``.  One such cap is the
+row budget: the generators summed over the degree components a row builds
+(``is_componentwise_linear``'s ``budget``).  The count depends on the graph
+and t alone, so the same rows are skipped on every host and in any thread.
 """
 
 from __future__ import annotations
 
 import json
-import signal
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -27,7 +31,12 @@ from .errors import CapacityError
 from .graphs import SimpleGraph, cover_ideal, complete_graph
 from .resolution import FieldChoice, RATIONALS, is_componentwise_linear
 
-ROW_BUDGET_SECONDS = 30.0
+# Default row budget: generators summed over the degree components a row
+# builds.  Row time grows with this count.  The value is the largest count of
+# any row with n <= 5 and t <= 4 (the star K_{1,4} at t = 4, about 16 s), so
+# sweeps over n <= 4 at any t, n = 5 at t <= 4 and n = 6 at t <= 2 skip no
+# row.
+ROW_BUDGET = 7_149
 
 
 @dataclass(frozen=True)
@@ -39,13 +48,15 @@ class SweepConfig:
     connected_only: bool = False
     complete_only: bool = False
     field: FieldChoice = RATIONALS
-    row_budget_s: float = ROW_BUDGET_SECONDS
+    row_budget: int = ROW_BUDGET  # 0 = no budget
 
     def __post_init__(self):
         if not 1 <= self.n_min <= self.n_max <= 6:
             raise ValueError("vertex range must satisfy 1 <= n_min <= n_max <= 6")
         if not self.t_set or any(t < 1 or t > 6 for t in self.t_set):
             raise ValueError("t values must lie in 1..6")
+        if self.row_budget < 0:
+            raise ValueError("row budget must be >= 0 (0 means no budget)")
 
 
 @dataclass
@@ -58,7 +69,8 @@ class SweepRecord:
     failing_degree: Optional[int]
     generator_count: Optional[int]
     wall_ms: float
-    status: str = "ok"  # "ok" | "skipped: budget" | "skipped: capacity"
+    # "ok" | "skipped: capacity (<reason>)"; the row budget is one such cap
+    status: str = "ok"
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -169,47 +181,16 @@ def canonical_edge_mask(G: SimpleGraph) -> tuple[int, int]:
     return n, min(_orbit(mask, _relabellings(n)))
 
 
-class _RowBudgetExceeded(Exception):
-    pass
-
-
-def _run_with_budget(func, budget_s: float):
-    """Run func() under a wall-clock alarm; raises _RowBudgetExceeded.
-
-    Falls back to no budget where setitimer is unavailable (non-main
-    thread)."""
-    if budget_s is None or budget_s <= 0:
-        return func()
-
-    def handler(signum, frame):
-        raise _RowBudgetExceeded
-
-    try:
-        old = signal.signal(signal.SIGALRM, handler)
-    except ValueError:
-        return func()
-    signal.setitimer(signal.ITIMER_REAL, budget_s)
-    try:
-        return func()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def _decide(G: SimpleGraph, t: int, config: SweepConfig) -> tuple:
     """(cwl, failing degree, generator count, status) of one graph at t."""
-
-    def row():
-        ideal = cover_ideal(G, t)
-        report = is_componentwise_linear(ideal, config.field, with_certificate=False)
-        return report.overall, report.failing_degree(), len(ideal.generators), "ok"
-
     try:
-        return _run_with_budget(row, config.row_budget_s)
-    except _RowBudgetExceeded:
-        return None, None, None, "skipped: budget"
+        ideal = cover_ideal(G, t)
+        report = is_componentwise_linear(
+            ideal, config.field, budget=config.row_budget, with_certificate=False
+        )
     except CapacityError as exc:
         return None, None, None, f"skipped: capacity ({exc})"
+    return report.overall, report.failing_degree(), len(ideal.generators), "ok"
 
 
 def sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:

@@ -149,6 +149,24 @@ def test_betti_taylor_capacity_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every degree-30 monomial in 10 variables: past the enumeration cap
+        ("betti", "--ideal", "{x1}", "--component", "30"),
+        # 22 generators against the default backtracking cap of 20
+        ("quotients", "--complete", "7", "--t", "6", "--order", "backtracking"),
+    ],
+    ids=["component-enumeration", "backtracking"],
+)
+def test_default_cap_exit_codes(tmp_path, capsys, argv):
+    f = tmp_path / "x1.ideal"
+    f.write_text("vars 10\nx1\n")
+    code, _, err = run(capsys, *(a.format(x1=f) for a in argv))
+    assert code == 3
+    assert "cap" in err
+
+
 def test_betti_koszul_box_capacity_exit_code(tmp_path, capsys):
     n = BOX_CAP.bit_length()  # x1..xn span a box of 2^n > BOX_CAP cells
     f = tmp_path / "vars.ideal"
@@ -270,6 +288,19 @@ def test_search_deterministic_output(capsys):
     _, out1, _ = run(capsys, "search", "--n", "3", "--t", "1,2", "--no-timing")
     _, out2, _ = run(capsys, "search", "--n", "3", "--t", "1,2", "--no-timing")
     assert out1 == out2
+
+
+def test_search_budget_is_a_generator_count(capsys):
+    argv = ("search", "--n", "4", "--t", "2", "--no-timing", "--budget")
+    # 40 skips the star K_{1,3} (81 component generators, 4 labellings) and
+    # the paw (46, 12 labellings); 0 means no budget
+    for budget, skipped in (("40", 16), ("0", 0)):
+        _, out, _ = run(capsys, *argv, budget)
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        assert summary["per_t"]["2"]["skipped"] == skipped
+    code, _, err = run(capsys, *argv, "-1")
+    assert code == 2
+    assert "budget" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from coverideals import resolution
 from coverideals.errors import CapacityError, NotEquigeneratedError
-from coverideals.graphs import complete_graph, counterexample_graph, cover_ideal
+from coverideals.graphs import (
+    SimpleGraph,
+    complete_graph,
+    counterexample_graph,
+    cover_ideal,
+)
 from coverideals.linalg import matrix_rank
 from coverideals.monomials import Monomial, MonomialIdeal
 from coverideals.resolution import (
@@ -574,12 +579,31 @@ def test_zero_ideal_cwl_vacuous():
     assert report.overall and report.vacuous
 
 
-def test_extra_degrees_stay_linear():
-    report = is_componentwise_linear(
-        cover_ideal(complete_graph(3), 2), extra_degrees=2
-    )
-    assert report.overall
-    assert [v.degree for v in report.verdicts] == [3, 4, 5, 6]
+def test_budget_caps_component_generators(monkeypatch):
+    star = cover_ideal(SimpleGraph(4, [(1, 2), (1, 3), (1, 4)]), 2)
+    sizes = {
+        d: len(star.component(d).generators)
+        for d in range(star.min_degree(), star.max_degree() + 1)
+    }
+    assert sum(sizes.values()) == 81
+    assert is_componentwise_linear(star, budget=81).overall
+    with pytest.raises(CapacityError, match="row budget of 80"):
+        is_componentwise_linear(star, budget=80)
+    with pytest.raises(ValueError):
+        is_componentwise_linear(star, budget=-1)
+
+    # the count is checked before the Betti table of the component crossing it
+    tables = []
+
+    def counting(comp, *args):
+        tables.append(comp.generators[0].degree)
+        return has_linear_resolution(comp, *args)
+
+    monkeypatch.setattr(resolution, "has_linear_resolution", counting)
+    lo = star.min_degree()
+    with pytest.raises(CapacityError):
+        is_componentwise_linear(star, budget=sizes[lo] + sizes[lo + 1] - 1)
+    assert tables == [lo]
 
 
 def test_cwl_report_json_schema():

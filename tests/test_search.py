@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from collections import Counter
 
 import pytest
@@ -31,6 +32,8 @@ def test_config_validation():
         SweepConfig(t_set=(7,))
     with pytest.raises(ValueError):
         SweepConfig(t_set=())
+    with pytest.raises(ValueError):
+        SweepConfig(row_budget=-1)
 
 
 def test_enumerate_counts():
@@ -143,21 +146,28 @@ def test_jsonl_and_csv_shapes():
     assert csv[0] == CSV_HEADER
 
 
-def test_row_budget_interrupts_slow_rows():
-    import time
+def test_row_budget_skips_the_same_rows_in_any_thread():
+    config = SweepConfig(n_min=4, n_max=4, t_set=(2,), row_budget=40)
+    records, summary = sweep(config)
+    on_main = to_jsonl(records, summary, include_timing=False)
+    in_thread = []
+    worker = threading.Thread(
+        target=lambda: in_thread.append(to_jsonl(*sweep(config), include_timing=False))
+    )
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert in_thread == [on_main]
 
-    from coverideals.search import _RowBudgetExceeded, _run_with_budget
-
-    def slow():
-        deadline = time.perf_counter() + 5.0
-        while time.perf_counter() < deadline:
-            pass
-        return "done"
-
-    with pytest.raises(_RowBudgetExceeded):
-        _run_with_budget(slow, 0.05)
-    assert _run_with_budget(lambda: 42, 1.0) == 42
-    assert _run_with_budget(lambda: 42, 0) == 42  # zero disables the budget
+    skipped = [r for r in records if r.status != "ok"]
+    assert ((1, 2), (1, 3), (1, 4)) in {r.edges for r in skipped}
+    assert all("row budget of 40" in r.status for r in skipped)
+    assert summary["per_t"]["2"]["skipped"] == len(skipped)
+    unbudgeted, _ = sweep(SweepConfig(n_min=4, n_max=4, t_set=(2,), row_budget=0))
+    assert all(r.status == "ok" for r in unbudgeted)
+    for rec, ref in zip(records, unbudgeted):
+        if rec.status == "ok":
+            assert rec.to_json_dict(False) == ref.to_json_dict(False)
 
 
 def test_edgeless_and_single_edge_rows_trivially_pass():
@@ -213,3 +223,22 @@ def test_n5_sweep_output_is_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "de526e91ba69a88997760df8b41d4ac90bce43c798a176646f96aae9c901ac6b"
     )
+
+
+def test_default_row_budget_skips_no_small_row():
+    # The default is the largest row count over n <= 5, t <= 4 (the star
+    # K_{1,4} at t = 4); n = 6 at t <= 2 stays below it (the star K_{1,5} at
+    # t = 2 builds 3,130).  Counting needs no Betti table.
+    def built(n, t):
+        slots = search._edge_slots(n)
+        for least in set(search._least_in_orbit(n)):
+            ideal = cover_ideal(search._graph_from_mask(n, least, slots), t)
+            yield sum(
+                len(ideal.component(d).generators)
+                for d in range(ideal.min_degree(), ideal.max_degree() + 1)
+            )
+
+    assert max(c for n in range(1, 6) for t in range(1, 5) for c in built(n, t)) == (
+        search.ROW_BUDGET
+    )
+    assert max(c for t in (1, 2) for c in built(6, t)) == 3130
