@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import textwrap
 
@@ -57,16 +56,15 @@ def _add_graph_source(parser: argparse.ArgumentParser, with_ideal: bool) -> None
     )
     if with_ideal:
         group.add_argument("--ideal", metavar="FILE", help="ideal file")
+    parser.add_argument("--t", type=int, help="cover order t >= 1 (graph sources)")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats=("table", "json")) -> None:
     parser.add_argument(
-        "--field",
-        default=os.environ.get("CWL_FIELD", "Q"),
-        help="coefficient field: Q (default) or a prime p / Fp",
+        "--field", default="Q", help="coefficient field: Q (default) or a prime p / Fp"
     )
     parser.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
+        "--format", choices=formats, default=formats[0], help="output format"
     )
 
 
@@ -170,64 +168,45 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_quotients(args) -> int:
-    if args.order == "theorem":
+    searched = args.order != "theorem"
+    if searched:
+        ideal = _resolve_ideal(args)
+        order = list(ideal.generators)
+        if args.order == "backtracking":
+            # a failed search reports the deglex listing's first bad step
+            order = find_linear_quotient_order(ideal, "backtracking") or order
+    else:
         if args.complete is None:
             raise ValueError("--order theorem applies to --complete graphs only")
         if args.t is None:
             raise ValueError("--order theorem needs --t")
         order = theorem_order(args.complete, args.t)
-        result = linear_quotients_check(order)
-    else:
-        ideal = _resolve_ideal(args)
-        strategy = args.order  # deglex | backtracking
-        order = find_linear_quotient_order(ideal, strategy=strategy)
-        if order is None:
-            # rerun the deglex listing for a concrete failing step to report
-            probe = linear_quotients_check(list(ideal.generators))
-            if args.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "ok": False,
-                            "order": None,
-                            "failing_index": probe.failing_index,
-                            "offending": (
-                                str(probe.offending) if probe.offending else None
-                            ),
-                        },
-                        sort_keys=True,
-                    )
-                )
-            else:
-                print(f"no linear-quotients order found (strategy {strategy})")
-                if probe.failing_index:
-                    print(
-                        f"deglex order fails at position {probe.failing_index}: "
-                        f"colon generator {probe.offending} has degree != 1"
-                    )
-            return 1
-        result = linear_quotients_check(order)
+    result = linear_quotients_check(order)
     if args.format == "json":
-        out = {
-            "ok": result.ok,
-            "order": [str(m) for m in order],
-            "steps": [[str(m) for m in step] for step in result.steps],
-        }
+        if searched and not result.ok:
+            out = {"ok": False, "order": None}
+        else:
+            out = {
+                "ok": result.ok,
+                "order": [str(m) for m in order],
+                "steps": [[str(m) for m in step] for step in result.steps],
+            }
         if not result.ok:
             out["failing_index"] = result.failing_index
             out["offending"] = str(result.offending)
         print(json.dumps(out, sort_keys=True))
+    elif result.ok:
+        print("linear quotients hold for the order:")
+        print(_wrap([str(m) for m in order]))
+        for k, step in enumerate(result.steps, start=2):
+            print(f"  step {k}: colon = <{', '.join(str(m) for m in step)}>")
     else:
-        if result.ok:
-            print("linear quotients hold for the order:")
-            print(_wrap([str(m) for m in order]))
-            for k, step in enumerate(result.steps, start=2):
-                print(f"  step {k}: colon = <{', '.join(str(m) for m in step)}>")
-        else:
-            print(
-                f"order fails at position {result.failing_index}: colon generator "
-                f"{result.offending} has degree != 1"
-            )
+        if searched:
+            print(f"no linear-quotients order found (strategy {args.order})")
+        print(
+            f"{'deglex order' if searched else 'order'} fails at position "
+            f"{result.failing_index}: colon generator {result.offending} has degree != 1"
+        )
     return 0 if result.ok else 1
 
 
@@ -295,7 +274,7 @@ def _cmd_search(args) -> int:
     )
     records, summary = sweep(config)
     include_timing = not args.no_timing
-    if args.search_format == "csv":
+    if args.format == "csv":
         sys.stdout.write(to_csv(records, summary, include_timing))
     else:
         sys.stdout.write(to_jsonl(records, summary, include_timing))
@@ -313,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gens", help="minimal generators of the cover ideal")
     _add_graph_source(p, with_ideal=False)
-    p.add_argument("--t", type=int, help="cover order t >= 1")
     p.add_argument(
         "--closed-form",
         action="store_true",
@@ -324,14 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cwl", help="componentwise linearity verdict")
     _add_graph_source(p, with_ideal=True)
-    p.add_argument("--t", type=int, help="cover order (graph sources)")
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
     _add_common(p)
     p.set_defaults(func=_cmd_check_cwl)
 
     p = sub.add_parser("betti", help="Betti tables")
     _add_graph_source(p, with_ideal=True)
-    p.add_argument("--t", type=int, help="cover order (graph sources)")
     p.add_argument("--component", type=int, metavar="D", help="restrict to degree D")
     p.add_argument("--multigraded", action="store_true", help="include multidegrees")
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
@@ -340,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotients", help="linear-quotients certificate")
     _add_graph_source(p, with_ideal=True)
-    p.add_argument("--t", type=int, help="cover order (graph sources)")
     p.add_argument(
         "--order",
         choices=("deglex", "theorem", "backtracking"),
@@ -352,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polymatroidal", help="exchange condition per component")
     _add_graph_source(p, with_ideal=True)
-    p.add_argument("--t", type=int, help="cover order (graph sources)")
     p.add_argument("--component", type=int, metavar="D", help="single degree D")
     _add_common(p)
     p.set_defaults(func=_cmd_polymatroidal)
@@ -365,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chordal-only", action="store_true")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--complete-only", action="store_true")
-    p.add_argument(
-        "--format",
-        dest="search_format",
-        choices=("jsonl", "json", "csv"),
-        default="jsonl",
-        help="json is an alias for jsonl",
-    )
     p.add_argument("--no-timing", action="store_true", help="omit wall times")
     p.add_argument(
         "--budget",
@@ -381,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip a row once its degree components hold more than N "
         "generators in all (default %(default)s; 0 = no budget)",
     )
-    p.add_argument("--field", default=os.environ.get("CWL_FIELD", "Q"))
+    _add_common(p, formats=("jsonl", "json", "csv"))  # json means jsonl
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -3,7 +3,6 @@ ideals attached to them.
 
 A graph on n vertices (labelled 1..n) turns into ideals of k[x1..xn]:
 
-* the edge ideal, one generator x_i*x_j per edge;
 * the order-t cover ideal, the intersection of <x_i, x_j>^t over all edges,
   whose minimal generators are exactly the minimal t-covers of the graph;
 * for complete graphs, a closed-form generator list together with the
@@ -43,19 +42,12 @@ class SimpleGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.nvertices + 1)}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
         return adj
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        adj = self.adjacency()
-        return tuple(len(adj[v]) for v in range(1, self.nvertices + 1))
 
     def is_connected(self) -> bool:
         if self.nvertices == 1:
@@ -212,17 +204,6 @@ def minimal_t_covers(G: SimpleGraph, t: int) -> list[tuple[int, ...]]:
         if ok:
             minimal.append(cov)
     return sorted(minimal)
-
-
-def edge_ideal(G: SimpleGraph) -> MonomialIdeal:
-    n = G.nvertices
-    gens = []
-    for u, v in G.edge_list():
-        exps = [0] * n
-        exps[u - 1] = 1
-        exps[v - 1] = 1
-        gens.append(Monomial(exps))
-    return MonomialIdeal(n, gens)
 
 
 def _edge_prime_power(n: int, u: int, v: int, t: int) -> MonomialIdeal:

@@ -3,7 +3,7 @@
 A monomial is an exponent vector over a fixed number of ring variables
 x1..xn; a monomial ideal is its unique minimal generating set.  Everything
 here is integer arithmetic: divisibility, lcm/gcd, minimal generators,
-intersections, powers, colon ideals, degree components, and the degree-lex
+intersections, colon ideals, degree components, and the degree-lex
 order used to list generators canonically.
 
 Text format (files and CLI): ``x1^2*x3`` with ``1`` for the unit monomial.
@@ -113,13 +113,6 @@ def variable(nvars: int, index: int) -> Monomial:
     if not 1 <= index <= nvars:
         raise ValueError(f"variable index {index} out of range 1..{nvars}")
     return Monomial(tuple(1 if i == index - 1 else 0 for i in range(nvars)))
-
-
-def deglex_compare(a: Monomial, b: Monomial) -> int:
-    """-1, 0 or 1; lower degree first, ties from the top variable down."""
-    a._check_same_ring(b)
-    ka, kb = a.deglex_key(), b.deglex_key()
-    return -1 if ka < kb else (0 if ka == kb else 1)
 
 
 def format_monomial(m: Monomial) -> str:
@@ -262,24 +255,6 @@ class MonomialIdeal:
             self.nvars,
             (f.lcm(g) for f in self.generators for g in other.generators),
         )
-
-    def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_same_ring(other)
-        return minimalize(
-            self.nvars,
-            (f * g for f in self.generators for g in other.generators),
-        )
-
-    def power(self, t: int) -> "MonomialIdeal":
-        if t < 0:
-            raise ValueError("negative ideal power")
-        if t == 0:
-            return MonomialIdeal.unit(self.nvars)
-        result = self
-        for _ in range(t - 1):
-            # minimalizing between steps keeps the generator count down
-            result = result.multiply(self)
-        return result
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
         """The colon ideal self : f, so m is in it iff m*f is in self."""

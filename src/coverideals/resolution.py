@@ -43,12 +43,15 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
 from .linalg import matrix_rank
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, minimalize
 
 # Generator count past which the subset-complex engine refuses an ideal and
 # ``engine="auto"`` switches to the lcm-lattice engine.
 TAYLOR_CAP = 14
 BACKTRACKING_CAP = 20
+# GF(p) is accepted for primes p below this bound only, which keeps the
+# trial-division primality test to milliseconds.
+FIELD_BOUND = 1 << 31
 # Cells of the compressed divisor box past which the lcm-lattice engine
 # refuses an ideal.  Every degree component of J_{K_n}(t) with n <= 7 and
 # t <= 3 fits; the largest (n = 7, t = 3, degree 18) fills it exactly.
@@ -57,12 +60,15 @@ BOX_CAP = 1 << 21
 
 @dataclass(frozen=True)
 class FieldChoice:
-    """Coefficient field: the rationals (p=None) or GF(p) for a prime p."""
+    """Coefficient field: the rationals (p=None) or GF(p) for a prime
+    p < ``FIELD_BOUND`` (2^31)."""
 
     p: Optional[int] = None
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p >= FIELD_BOUND:
+                raise ValueError(f"field size {self.p} is not below 2^31")
             if self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
                 raise ValueError(f"{self.p} is not prime")
 
@@ -507,37 +513,35 @@ def is_componentwise_linear(
     multiple of the previous one, which preserves having a linear
     resolution (Herzog-Hibi, Nagoya Math. J. 1999).
 
-    ``budget`` caps the generators summed over the components built so far
-    (0 means no cap).  The sum is checked after each component is built and
-    before its Betti table; crossing it raises ``CapacityError``.  It
-    depends on the ideal alone, so the same ideals are refused on every host
-    and thread.
+    ``budget`` caps the generators summed over the degree components (0
+    means no cap).  Every component is built before any Betti table, so an
+    ideal past the budget raises ``CapacityError`` having computed none.  The
+    sum depends on the ideal alone, so the same ideals are refused on every
+    host and thread.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0 (0 means no budget)")
     if ideal.is_zero():
         return CwlReport(ideal.nvars, field, (), True, vacuous=True)
     lo, hi = ideal.min_degree(), ideal.max_degree()
-    verdicts = []
-    overall = True
+    components = []
     built = 0
     for d in range(lo, hi + 1):
-        comp = ideal.component(d)
-        built += len(comp.generators)
+        components.append(ideal.component(d))
+        built += len(components[-1].generators)
         if budget and built > budget:
             raise CapacityError(
                 f"the degree-{lo}..{d} components have {built} generators; "
                 f"beyond the row budget of {budget}"
             )
+    verdicts = []
+    for d, comp in enumerate(components, start=lo):
         if comp.is_zero():
             verdicts.append(DegreeVerdict(d, "zero component"))
             continue
         ok, offending = has_linear_resolution(comp, field, engine)
-        if ok:
-            verdicts.append(DegreeVerdict(d, "linear"))
-        else:
-            verdicts.append(DegreeVerdict(d, "not linear", offending))
-            overall = False
+        verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
+    overall = all(v.status != "not linear" for v in verdicts)
     certificate = None
     if with_certificate and overall:
         order = find_linear_quotient_order(ideal, strategy="deglex")
@@ -559,12 +563,18 @@ class QuotientsResult:
     offending: Optional[Monomial] = None  # a colon generator of degree != 1
 
 
+def _colon(prefix: Sequence[Monomial], f: Monomial) -> tuple[Monomial, ...]:
+    """Minimal generators of the colon ideal (prefix) : f.  The colon of any
+    generating set is generated by the g / gcd(g, f), so the prefix itself
+    is never minimalized."""
+    return minimalize(f.nvars, (g.quotient(g.gcd(f)) for g in prefix)).generators
+
+
 def linear_quotients_check(gens: Sequence[Monomial]) -> QuotientsResult:
     """Do the successive colon ideals of this exact listing stay generated
     by single variables?  Stops at the first failing step."""
     if not gens:
         raise ValueError("empty generator list")
-    nvars = gens[0].nvars
     if len(set(gens)) != len(gens):
         raise ValueError("generator list has duplicates")
     for f, h in combinations(gens, 2):
@@ -572,24 +582,24 @@ def linear_quotients_check(gens: Sequence[Monomial]) -> QuotientsResult:
             raise ValueError(f"{f} and {h} are not both minimal generators")
     steps: list[tuple[Monomial, ...]] = []
     for k in range(2, len(gens) + 1):
-        prefix = MonomialIdeal(nvars, gens[: k - 1])
-        colon = prefix.colon(gens[k - 1])
-        steps.append(colon.generators)
-        bad = next((m for m in colon.generators if m.degree != 1), None)
+        colon = _colon(gens[: k - 1], gens[k - 1])
+        steps.append(colon)
+        bad = next((m for m in colon if m.degree != 1), None)
         if bad is not None:
             return QuotientsResult(False, tuple(steps), k, bad)
     return QuotientsResult(True, tuple(steps))
 
 
 def find_linear_quotient_order(
-    ideal: MonomialIdeal, strategy: str = "deglex", cap: int = BACKTRACKING_CAP
+    ideal: MonomialIdeal, strategy: str = "deglex"
 ) -> Optional[list[Monomial]]:
     """Search for a generator listing with linear quotients.
 
     ``deglex`` sorts once and tests; ``backtracking`` explores every
-    degree-nondecreasing listing with failed-prefix memoization (capped at
-    20 generators).  Either way a returned order passes
-    ``linear_quotients_check``; None means the search failed.
+    degree-nondecreasing listing with failed-prefix memoization, and raises
+    CapacityError past ``BACKTRACKING_CAP`` (20) generators.  Either way a
+    returned order passes ``linear_quotients_check``; None means the search
+    failed.
     """
     if ideal.is_zero():
         raise ValueError("zero ideal has no generator ordering")
@@ -600,17 +610,13 @@ def find_linear_quotient_order(
         return gens if linear_quotients_check(gens).ok else None
     if strategy != "backtracking":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if len(gens) > cap:
+    if len(gens) > BACKTRACKING_CAP:
         raise CapacityError(
-            f"backtracking over {len(gens)} generators exceeds the cap {cap}"
+            f"backtracking over {len(gens)} generators exceeds the cap "
+            f"{BACKTRACKING_CAP}"
         )
-    nvars = ideal.nvars
     failed: set[frozenset] = set()
     chosen: list[Monomial] = []
-
-    def colon_is_linear(prefix: Sequence[Monomial], f: Monomial) -> bool:
-        colon = MonomialIdeal(nvars, prefix).colon(f)
-        return all(m.degree == 1 for m in colon.generators)
 
     def search(remaining: list[Monomial]) -> bool:
         if not remaining:
@@ -622,7 +628,7 @@ def find_linear_quotient_order(
         for f in remaining:  # remaining stays deglex-sorted
             if f.degree != min_deg:
                 break  # degree-nondecreasing orders only
-            if chosen and not colon_is_linear(chosen, f):
+            if chosen and any(m.degree != 1 for m in _colon(chosen, f)):
                 continue
             chosen.append(f)
             rest = [m for m in remaining if m is not f]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coverideals import cli, resolution
 from coverideals.cli import main
 from coverideals.resolution import BOX_CAP
 
@@ -133,6 +134,22 @@ def test_betti_engines_agree_via_cli(capsys):
     assert json.loads(out1) == json.loads(out2)
 
 
+def test_field_bound_refuses_huge_primes_at_once(capsys):
+    # 10^20 + 39 is prime; trial division up to its square root would take
+    # minutes, so the size bound must refuse it first
+    code, _, err = run(
+        capsys, "check-cwl", "--complete", "3", "--t", "1", "--field", "100000000000000000039"
+    )
+    assert code == 2
+    assert "2^31" in err
+    code, out, _ = run(
+        capsys, "check-cwl", "--complete", "3", "--t", "2", "--field", "1000000007",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["field"] == "F1000000007"
+
+
 def test_betti_field_flag(capsys):
     code, out, _ = run(
         capsys, "betti", "--complete", "3", "--t", "2", "--field", "2", "--format", "json"
@@ -211,6 +228,26 @@ def test_quotients_backtracking_counterexample_fails(capsys):
     )
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "source, code",
+    [(("--complete", "4", "--t", "5"), 0), (("--counterexample", "--t", "2"), 1)],
+    ids=["passing", "failing"],
+)
+def test_quotients_checks_the_deglex_listing_once(capsys, monkeypatch, source, code):
+    # the check is counted under both names it is reachable by
+    calls = []
+    check = resolution.linear_quotients_check
+
+    def counting(order):
+        calls.append(order)
+        return check(order)
+
+    monkeypatch.setattr(cli, "linear_quotients_check", counting)
+    monkeypatch.setattr(resolution, "linear_quotients_check", counting)
+    assert run(capsys, "quotients", *source, "--order", "deglex")[0] == code
+    assert len(calls) == 1
 
 
 def test_quotients_theorem_needs_complete(capsys):
@@ -327,14 +364,6 @@ def test_usage_error_exit_code(capsys):
 def test_mutually_exclusive_sources(capsys):
     code, _, _ = run(capsys, "gens", "--complete", "3", "--counterexample", "--t", "1")
     assert code == 2
-
-
-def test_env_var_field_default(capsys, monkeypatch):
-    monkeypatch.setenv("CWL_FIELD", "3")
-    # parser defaults are bound at build time, so rebuild through main()
-    code, out, _ = run(capsys, "betti", "--complete", "3", "--t", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["field"] == "F3"
 
 
 def test_json_outputs_are_stable(capsys):

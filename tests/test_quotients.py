@@ -92,9 +92,10 @@ def test_backtracking_recovers_from_bad_deglex_prefix():
 
 
 def test_backtracking_cap():
-    I = cover_ideal(complete_graph(5), 6)  # 16 generators
-    with pytest.raises(CapacityError):
-        find_linear_quotient_order(I, strategy="backtracking", cap=15)
+    I = cover_ideal(complete_graph(7), 6)  # 22 generators, past the cap of 20
+    assert len(I.generators) == 22
+    with pytest.raises(CapacityError, match="cap 20"):
+        find_linear_quotient_order(I, strategy="backtracking")
 
 
 def test_certified_orders_give_linear_resolutions():

@@ -579,7 +579,7 @@ def test_zero_ideal_cwl_vacuous():
     assert report.overall and report.vacuous
 
 
-def test_budget_caps_component_generators(monkeypatch):
+def test_budget_caps_component_generators():
     star = cover_ideal(SimpleGraph(4, [(1, 2), (1, 3), (1, 4)]), 2)
     sizes = {
         d: len(star.component(d).generators)
@@ -592,7 +592,12 @@ def test_budget_caps_component_generators(monkeypatch):
     with pytest.raises(ValueError):
         is_componentwise_linear(star, budget=-1)
 
-    # the count is checked before the Betti table of the component crossing it
+
+@pytest.mark.parametrize("budget", [40, 80])
+def test_budget_refuses_before_any_betti_table(monkeypatch, budget):
+    # the star K_{1,3} at t = 2: 81 component generators, the last degree
+    # alone past 40; a refused row must compute no Betti table at all
+    star = cover_ideal(SimpleGraph(4, [(1, 2), (1, 3), (1, 4)]), 2)
     tables = []
 
     def counting(comp, *args):
@@ -600,10 +605,9 @@ def test_budget_caps_component_generators(monkeypatch):
         return has_linear_resolution(comp, *args)
 
     monkeypatch.setattr(resolution, "has_linear_resolution", counting)
-    lo = star.min_degree()
-    with pytest.raises(CapacityError):
-        is_componentwise_linear(star, budget=sizes[lo] + sizes[lo + 1] - 1)
-    assert tables == [lo]
+    with pytest.raises(CapacityError, match=f"row budget of {budget}"):
+        is_componentwise_linear(star, budget=budget)
+    assert tables == []
 
 
 def test_cwl_report_json_schema():

@@ -1,7 +1,10 @@
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "coverideals").glob("*.py"))
+import coverideals
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coverideals"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -22,3 +25,44 @@ def test_no_module_imports_signal():
     for path in SOURCES:
         modules = imported_modules(ast.parse(path.read_text(), str(path)))
         assert not {m for m in modules if m.split(".")[0] == "signal"}, path.name
+
+
+def test_no_module_reads_the_environment():
+    # An ambient variable would change verdicts of runs that name no option,
+    # and the library promises pure functions of their arguments.
+    assert SOURCES
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        reads = [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        ]
+        reads += [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "os"
+            for alias in node.names
+            if alias.name in ("environ", "getenv")
+        ]
+        assert not reads, (path.name, reads)
+
+
+def test_all_exports_resolve():
+    # Every listed name exists, and every public name the package imports is
+    # listed, so deleting a function cannot leave a stale export behind.
+    for name in coverideals.__all__:
+        assert hasattr(coverideals, name), name
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public <= set(coverideals.__all__)
+    assert len(set(coverideals.__all__)) == len(coverideals.__all__)
