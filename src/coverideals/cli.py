@@ -59,10 +59,13 @@ def _add_graph_source(parser: argparse.ArgumentParser, with_ideal: bool) -> None
     parser.add_argument("--t", type=int, help="cover order t >= 1 (graph sources)")
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("table", "json")) -> None:
+def _add_field(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--field", default="Q", help="coefficient field: Q (default) or a prime p / Fp"
     )
+
+
+def _add_format(parser: argparse.ArgumentParser, formats=("table", "json")) -> None:
     parser.add_argument(
         "--format", choices=formats, default=formats[0], help="output format"
     )
@@ -297,13 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the complete-graph closed form instead of intersecting",
     )
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_gens)
 
     p = sub.add_parser("check-cwl", help="componentwise linearity verdict")
     _add_graph_source(p, with_ideal=True)
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
-    _add_common(p)
+    _add_field(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_check_cwl)
 
     p = sub.add_parser("betti", help="Betti tables")
@@ -311,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, metavar="D", help="restrict to degree D")
     p.add_argument("--multigraded", action="store_true", help="include multidegrees")
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
-    _add_common(p)
+    _add_field(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("quotients", help="linear-quotients certificate")
@@ -322,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="deglex",
         help="ordering to certify",
     )
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_quotients)
 
     p = sub.add_parser("polymatroidal", help="exchange condition per component")
     _add_graph_source(p, with_ideal=True)
     p.add_argument("--component", type=int, metavar="D", help="single degree D")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_polymatroidal)
 
     p = sub.add_parser("search", help="sweep graphs and report verdicts")
@@ -348,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip a row once its degree components hold more than N "
         "generators in all (default %(default)s; 0 = no budget)",
     )
-    _add_common(p, formats=("jsonl", "json", "csv"))  # json means jsonl
+    _add_field(p)
+    _add_format(p, formats=("jsonl", "json", "csv"))  # json means jsonl
     p.set_defaults(func=_cmd_search)
 
     return parser

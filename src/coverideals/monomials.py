@@ -13,7 +13,8 @@ Ideal files start with a ``vars <n>`` line followed by one monomial per line.
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
@@ -278,39 +279,19 @@ class MonomialIdeal:
             k = d - g.degree
             if k < 0:
                 continue
-            count = _ncompositions(k, n)
+            count = comb(k + n - 1, n - 1)  # multisets of k of the n variables
             if count > COMPONENT_ENUMERATION_CAP:
                 raise CapacityError(
                     f"enumerating the degree-{d} component needs {count} "
                     "multiples per generator; beyond the enumeration cap"
                 )
-            base = g.exponents
-            for extra in _compositions(k, n):
-                seen.add(tuple(b + e for b, e in zip(base, extra)))
+            for extra in combinations_with_replacement(range(n), k):
+                exps = list(g.exponents)
+                for i in extra:
+                    exps[i] += 1
+                seen.add(tuple(exps))
         gens = tuple(Monomial(e) for e in sorted(seen, key=_deglex_key))
         return MonomialIdeal._from_minimal(self.nvars, gens)
-
-
-def _ncompositions(k: int, n: int) -> int:
-    # number of weak compositions of k into n parts
-    from math import comb
-
-    return comb(k + n - 1, n - 1)
-
-
-def _compositions(k: int, n: int) -> Iterator[tuple]:
-    """All weak compositions of k into n non-negative parts."""
-    if n == 1:
-        yield (k,)
-        return
-    for bars in combinations(range(k + n - 1), n - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(k + n - 2 - prev)
-        yield tuple(comp)
 
 
 def format_ideal(ideal: MonomialIdeal) -> str:

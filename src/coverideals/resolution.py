@@ -140,36 +140,22 @@ class BettiTable:
 # simplicial homology
 
 
-def downward_closure(faces: Iterable[Iterable[int]]) -> set[frozenset]:
-    closed: set[frozenset] = set()
-    stack = [frozenset(f) for f in faces]
-    if stack:
-        closed.add(frozenset())
-    while stack:
-        f = stack.pop()
-        if f in closed:
-            continue
-        closed.add(f)
-        for v in f:
-            stack.append(f - {v})
-    return closed
-
-
 def simplicial_homology_ranks(
     faces: Iterable[Iterable[int]], field: FieldChoice = RATIONALS
 ) -> list[int]:
     """Reduced homology ranks by dimension, starting at dimension -1.
 
     ``faces`` must be closed under taking subsets; the empty face is implied
-    and need not be listed.  The empty complex (only the empty face) has
-    rank 1 in dimension -1; the void complex (no faces at all) has no
-    homology and yields [].
+    and need not be listed.  The check drops one vertex at a time: a finite
+    family closed under that is closed under every subset.  The empty
+    complex (only the empty face) has rank 1 in dimension -1; the void
+    complex (no faces at all) has no homology and yields [].
     """
     face_set = {frozenset(f) for f in faces}
     if not face_set:
         return []
     face_set.add(frozenset())
-    if face_set != downward_closure(face_set):
+    if any(f - {v} not in face_set for f in face_set for v in f):
         raise ValueError("faces are not closed under taking subsets")
     bit = {v: 1 << k for k, v in enumerate(sorted(set().union(*face_set)))}
     ranks = _homology([sum(bit[v] for v in f) for f in face_set], field)
@@ -456,7 +442,7 @@ def has_linear_resolution(
 @dataclass(frozen=True)
 class DegreeVerdict:
     degree: int
-    status: str  # "linear" | "not linear" | "zero component"
+    status: str  # "linear" | "not linear"
     offending: Optional[tuple[int, int]] = None
 
 
@@ -536,9 +522,6 @@ def is_componentwise_linear(
             )
     verdicts = []
     for d, comp in enumerate(components, start=lo):
-        if comp.is_zero():
-            verdicts.append(DegreeVerdict(d, "zero component"))
-            continue
         ok, offending = has_linear_resolution(comp, field, engine)
         verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
     overall = all(v.status != "not linear" for v in verdicts)

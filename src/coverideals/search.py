@@ -136,39 +136,41 @@ def _least_in_orbit(n: int) -> list[int]:
     return least
 
 
-def _keep(G: SimpleGraph, config: SweepConfig) -> bool:
+def _kept_chordality(G: SimpleGraph, config: SweepConfig) -> Optional[bool]:
+    """G's chordality when G passes the config's filters, None when not."""
     if config.connected_only and not G.is_connected():
-        return False
-    return not (config.chordal_only and not G.is_chordal()[0])
+        return None
+    chordal = G.is_chordal()[0]
+    return None if config.chordal_only and not chordal else chordal
 
 
-def _classified_graphs(config: SweepConfig) -> Iterator[tuple[SimpleGraph, tuple[int, int]]]:
+def _classified_graphs(
+    config: SweepConfig,
+) -> Iterator[tuple[SimpleGraph, tuple[int, int], bool]]:
     """The graphs of ``enumerate_graphs``, each with its isomorphism class
-    (n, least edge mask of its orbit).  The filters do not depend on labels,
-    so each is decided once per class, on its least mask."""
+    (n, least edge mask of its orbit) and its chordality.  The filters and
+    chordality do not depend on labels, so each is decided once per class,
+    on its least mask."""
     for n in range(config.n_min, config.n_max + 1):
         slots = _edge_slots(n)
         if config.complete_only:
             G = complete_graph(n)
-            if _keep(G, config):
-                yield G, (n, (1 << len(slots)) - 1)
+            chordal = _kept_chordality(G, config)
+            if chordal is not None:
+                yield G, (n, (1 << len(slots)) - 1), chordal
             continue
-        kept: dict[int, bool] = {}
+        chordality: dict[int, Optional[bool]] = {}
         for mask, least in enumerate(_least_in_orbit(n)):
-            if kept.get(least) is False:
-                continue
-            G = _graph_from_mask(n, mask, slots)
-            if least not in kept:
-                kept[least] = _keep(G, config)
-                if not kept[least]:
-                    continue
-            yield G, (n, least)
+            if mask == least:  # the ascending walk meets each class here first
+                chordality[least] = _kept_chordality(_graph_from_mask(n, mask, slots), config)
+            if chordality[least] is not None:
+                yield _graph_from_mask(n, mask, slots), (n, least), chordality[least]
 
 
 def enumerate_graphs(config: SweepConfig) -> Iterator[SimpleGraph]:
     """All labelled graphs in range, filtered per config, in deterministic
     order (vertex count ascending, then edge bitmask ascending)."""
-    for G, _ in _classified_graphs(config):
+    for G, _, _ in _classified_graphs(config):
         yield G
 
 
@@ -206,12 +208,8 @@ def sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     records: list[SweepRecord] = []
     classes: list[tuple[int, int]] = []
     warnings: list[str] = []
-    chordal_of: dict[tuple[int, int], bool] = {}
     decided: dict[tuple, tuple] = {}
-    for G, cls in _classified_graphs(config):
-        if cls not in chordal_of:
-            chordal_of[cls] = G.is_chordal()[0]
-        chordal = chordal_of[cls]
+    for G, cls, chordal in _classified_graphs(config):
         edges = tuple(G.edge_list())
         for t in sorted(config.t_set):
             start = time.perf_counter()

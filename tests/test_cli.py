@@ -84,6 +84,9 @@ def test_check_cwl_counterexample_t2_fails_with_degree4(capsys):
     assert data["overall"] is False
     failing = [e for e in data["per_degree"] if e["verdict"] == "not linear"]
     assert failing[0]["degree"] == 4
+    code, out, _ = run(capsys, "check-cwl", "--counterexample", "--t", "2")
+    assert code == 1
+    assert "degree 4: not linear (offending beta at i=1, j=6)\n" in out
 
 
 def test_check_cwl_counterexample_t1_passes(capsys):
@@ -197,6 +200,12 @@ def test_betti_table_output(capsys):
     code, out, _ = run(capsys, "betti", "--complete", "3", "--t", "1")
     assert code == 0
     assert "beta[0,2] = 3" in out
+    code, out, _ = run(capsys, "betti", "--complete", "3", "--t", "1", "--multigraded")
+    assert code == 0
+    assert out.endswith(
+        "multigraded:\n  beta[0,(0, 1, 1)] = 1\n  beta[0,(1, 0, 1)] = 1\n"
+        "  beta[0,(1, 1, 0)] = 1\n  beta[1,(1, 1, 1)] = 2\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +280,12 @@ def test_polymatroidal_component_flag(capsys):
     assert data["components"][0]["degree"] == 9
     assert data["components"][0]["ok"] is False
     assert data["components"][0]["witness"] is not None
+    code, out, _ = run(capsys, "polymatroidal", "--complete", "4", "--t", "3")
+    assert code == 1
+    assert out == (
+        "degree 7: exchange holds\ndegree 8: exchange holds\n"
+        "degree 9: FAILS (witness u=x1*x2^2*x3^2*x4^4, v=x2^3*x3^3*x4^3, i=1)\n"
+    )
 
 
 def test_polymatroidal_k3_all_components_pass(capsys):
@@ -359,6 +374,10 @@ def test_missing_file_is_input_error(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "gens")  # no graph source
     assert code == 2
+    # only the commands that compute ranks take --field
+    for command in ("gens", "quotients", "polymatroidal"):
+        code, _, _ = run(capsys, command, "--complete", "3", "--t", "1", "--field", "4")
+        assert code == 2, command
 
 
 def test_mutually_exclusive_sources(capsys):

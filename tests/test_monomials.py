@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -223,6 +225,9 @@ def test_component_equigenerated_and_idempotent(gens, d):
     C = I.component(d)
     assert all(g.degree == d for g in C.generators)
     assert C.component(d) == C
+    # every degree-d monomial in I, found by brute force, in deglex order
+    degree_d = (M(*e) for e in product(range(d + 1), repeat=3) if sum(e) == d)
+    assert list(C.generators) == sorted(m for m in degree_d if I.contains(m))
 
 
 # ---------------------------------------------------------------------------

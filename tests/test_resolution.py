@@ -21,7 +21,6 @@ from coverideals.resolution import (
     TAYLOR_CAP,
     FieldChoice,
     betti_table,
-    downward_closure,
     first_syzygy_degrees,
     has_linear_resolution,
     is_componentwise_linear,
@@ -104,14 +103,13 @@ def test_homology_vertex_labels_need_not_be_consecutive():
 
 
 def test_homology_rejects_open_families():
-    with pytest.raises(ValueError):
-        simplicial_homology_ranks([[1, 2]])  # vertices missing
-
-
-def test_downward_closure():
-    closed = downward_closure([[1, 2]])
-    assert closed == {frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})}
-    assert downward_closure([]) == set()
+    for faces in (
+        [[1, 2]],  # vertices missing
+        [[1, 2, 3], [1, 2], [1, 3], [2, 3]],  # triangle and edges, no vertices
+        [[1, 2, 3], [1, 2], [1, 3], [1], [2], [3]],  # edge 23 missing
+    ):
+        with pytest.raises(ValueError):
+            simplicial_homology_ranks(faces)
 
 
 def test_homology_sphere_mod2_and_rationals_agree():

@@ -41,6 +41,12 @@ def test_enumerate_counts():
     assert len(list(enumerate_graphs(SweepConfig(n_min=4, n_max=4)))) == 64
     chordal4 = list(enumerate_graphs(SweepConfig(n_min=4, n_max=4, chordal_only=True)))
     assert len(chordal4) == 61  # 64 minus the three labelled 4-cycles
+    connected3 = list(enumerate_graphs(SweepConfig(n_min=3, n_max=3, connected_only=True)))
+    assert len(connected3) == 4  # the three paths and the triangle
+    records, summary = sweep(SweepConfig(n_min=4, n_max=4, connected_only=True))
+    assert len(records) == 38
+    # only the three labelled 4-cycles fail: (x1x3, x2x4) is not linear
+    assert summary["per_t"]["1"]["cwl_pass"] == 35
 
 
 def test_enumerate_deterministic_order():
@@ -74,10 +80,21 @@ def test_chordal_t1_sweep_all_pass():
     assert summary["warnings"] == []
 
 
-def test_counterexample_shows_up_in_t2_sweep():
+def test_counterexample_shows_up_in_t2_sweep(monkeypatch):
+    # chordality is decided once for each of the 11 classes on 4 vertices,
+    # the filter's test included
+    calls = []
+    is_chordal = SimpleGraph.is_chordal
+
+    def counting(G):
+        calls.append(G)
+        return is_chordal(G)
+
+    monkeypatch.setattr(SimpleGraph, "is_chordal", counting)
     records, summary = sweep(
         SweepConfig(n_min=4, n_max=4, t_set=(2,), chordal_only=True)
     )
+    assert len(calls) == 11
     target = tuple(counterexample_graph().edge_list())
     hits = [r for r in records if r.edges == target]
     assert len(hits) == 1

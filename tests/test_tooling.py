@@ -1,7 +1,10 @@
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import coverideals
+from coverideals import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coverideals"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -66,3 +69,38 @@ def test_all_exports_resolve():
     public = {name for name in imported if not name.startswith("_")}
     assert public <= set(coverideals.__all__)
     assert len(set(coverideals.__all__)) == len(coverideals.__all__)
+
+
+
+def test_every_cli_option_is_read():
+    # An option its command never reads accepts any value in silence.  Each
+    # subcommand's options must be read as args.<dest> or getattr(args,
+    # "<dest>") in its func or in a cli function that func calls.
+    tree = ast.parse(inspect.getsource(cli))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str, seen: set[str]) -> set[str]:
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        dests = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args":
+                dests.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "getattr" and ast.unparse(node.args[0]) == "args":
+                    dests.add(node.args[1].value)
+                dests |= reads(node.func.id, seen)
+        return dests
+
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert len(subparsers.choices) == 6
+    unread = {}
+    for command, parser in subparsers.choices.items():
+        declared = {a.dest for a in parser._actions if a.dest != "help"}
+        missing = declared - reads(parser.get_default("func").__name__, set())
+        if missing:
+            unread[command] = sorted(missing)
+    assert unread == {}
