@@ -13,12 +13,11 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
   complex {b <= support(a) : x^(a-b) in I}, which lives on at most n
   vertices regardless of the generator count (Miller-Sturmfels, Thm 1.34).
-  Membership and the lattice come from one table over the compressed
-  divisor box (each axis keeps only the generator exponents in its
-  variable, plus 0), filled in one upward pass.  Complexes repeat across
-  lattice points, so each distinct one, keyed by (support size, face
-  bitmask), has its homology computed once per call.  A box past
-  ``BOX_CAP`` cells raises CapacityError before anything is allocated.
+  Membership and the lattice are bit planes (one int each) over the
+  compressed divisor box, which keeps on each axis only the generator
+  exponents in its variable, plus 0, and are closed upward by shift-OR
+  sweeps along the axes.  A box past ``BOX_CAP`` cells raises CapacityError
+  before anything is allocated.
 
 Over Q, ``_homology`` ranks every boundary mod 2 first (the packed GF(2)
 kernel of ``matrix_rank``).  Integer boundaries with d^2 = 0 make those
@@ -35,10 +34,12 @@ layered on top.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress
 from math import prod
+from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
@@ -271,72 +272,74 @@ def taylor_strand_betti(
 
 
 class _DivisorBox:
-    """Membership table of an ideal over its compressed divisor box.
+    """The compressed divisor box of an ideal, held as bit planes.
 
-    Axis i holds only the distinct generator exponents in x_i, plus 0, and
-    a cell stands for the exponent vector of its grid values.  Every
-    generator is a cell, and it divides a cell's monomial iff it sits at or
-    below that cell on every axis.  ``reach[idx]`` is 0 outside the ideal;
-    inside it, bit n is set and bit i says that some generator dividing the
-    cell attains the cell's value on axis i.  Cells are numbered row-major
-    (the last axis has stride 1), so index order is the lexicographic order
-    of the exponent vectors.
+    Axis i keeps only the generator exponents in x_i, plus 0, and a cell
+    stands for the exponent vector of its grid values.  Cells are numbered
+    row-major (the last axis has stride 1), so index order is lexicographic.
+    A plane is an int whose bit idx stands for cell idx: ``gens`` holds the
+    generators, ``up[i]`` the cells off position 0 of axis i, and ``member``
+    the cells in the ideal: ``gens`` swept up every axis, as a generator
+    divides a cell's monomial iff it is at or below it on every axis.
     """
 
-    __slots__ = ("positions", "strides", "reach", "lattice")
+    __slots__ = ("size", "values", "strides", "offsets", "up", "gens", "member")
 
     def __init__(self, ideal: MonomialIdeal):
         n = ideal.nvars
-        gen_exps = [g.exponents for g in ideal.generators]
-        values = [sorted({0, *(e[i] for e in gen_exps)}) for i in range(n)]
-        # per axis: grid value -> position on the axis
-        self.positions = [{v: k for k, v in enumerate(vs)} for vs in values]
+        exps = [g.exponents for g in ideal.generators]
+        self.values = values = [sorted({0, *(e[i] for e in exps)}) for i in range(n)]
         lengths = [len(v) for v in values]
-        size = prod(lengths)
+        self.size = size = prod(lengths)
         if size > BOX_CAP:
             raise CapacityError(
                 f"the compressed divisor box has {size} cells, beyond the "
                 f"lcm-lattice engine's cap {BOX_CAP}"
             )
-        strides = [1] * n
-        for i in range(n - 1, 0, -1):
-            strides[i - 1] = strides[i] * lengths[i]
-        self.strides = strides
-        full = (2 << n) - 1
-        keep = [full ^ (1 << i) for i in range(n)]
-        reach = [0] * size
-        for e in gen_exps:
-            reach[self.cell(e)] = full
-        # One upward pass: a cell is in I iff it is a generator or the cell
-        # one step down some axis is in I.  A generator below the cell on
-        # axis i cannot attain the cell's value there, hence the mask.
-        lattice = []
-        for idx, cell in enumerate(product(*map(range, lengths))):
-            r = reach[idx]
-            support = 0
-            for i, c in enumerate(cell):
-                if c:
-                    support |= 1 << i
-                    r |= reach[idx - strides[i]] & keep[i]
-            reach[idx] = r
-            # an lcm of generators iff the generators dividing it attain it
-            # on every axis of its support
-            if r and r & support == support:
-                lattice.append(tuple(v[c] for v, c in zip(values, cell)))
-        self.reach = reach
-        self.lattice = lattice
+        self.strides = strides = [prod(lengths[i + 1:]) for i in range(n)]
+        # offsets[i][v]: index step to grid value v on axis i (v <= EXPONENT_CAP)
+        self.offsets = [[bisect_left(vs, v) * s for v in range(vs[-1] + 1)]
+                        for vs, s in zip(values, strides)]
+        # axis i repeats blocks of length * stride cells whose first stride
+        # cells sit at position 0 (a binary string puts bit 0 last)
+        self.up = [int(("1" * (s * (l - 1)) + "0" * s) * (size // (s * l)), 2)
+                   for s, l in zip(strides, lengths)]
+        self.gens = sum(1 << self.index(e) for e in exps)
+        self.member = self.sweep(self.gens, range(n))
 
-    def cell(self, exps: Sequence[int]) -> int:
+    def index(self, exps: Sequence[int]) -> int:
         """Index of the cell of an exponent vector made of grid values."""
-        return sum(
-            pos[e] * s for pos, e, s in zip(self.positions, exps, self.strides)
-        )
+        return sum(map(getitem, self.offsets, exps))
+
+    def sweep(self, plane: int, axes: Iterable[int]) -> int:
+        """Close a plane upward along the given axes.  A shift by axis i's
+        stride moves every cell one step up that axis; ``up[i]`` drops the
+        cells that wrapped round to position 0."""
+        for i in axes:
+            s, up = self.strides[i], self.up[i]
+            for _ in range(len(self.values[i]) - 1):
+                plane |= (plane << s) & up
+        return plane
+
+    def flags(self, plane: int) -> bytes:
+        """One byte per cell: 1 where the plane holds the cell, else 0."""
+        bits = format(plane, f"0{self.size}b")[::-1].encode()
+        return bits.translate(bytes.maketrans(b"01", b"\0\1"))
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """All lcms of non-empty generator subsets (the only multidegrees where
-    Betti numbers can live), sorted, read off the divisor box."""
-    return _DivisorBox(ideal).lattice
+    Betti numbers can live), sorted: the cells of the divisor box that, on
+    each axis i of their support, lie in ``gens`` swept up every axis but i
+    (the cells that some generator dividing them attains on axis i)."""
+    box = _DivisorBox(ideal)
+    lattice = box.member
+    for i in range(ideal.nvars):
+        lattice &= box.sweep(box.gens, {*range(ideal.nvars)} - {i}) | ~box.up[i]
+    cells = list(compress(range(box.size), box.flags(lattice)))
+    return list(zip(*(
+        [vs[c // s % len(vs)] for c in cells] for vs, s in zip(box.values, box.strides)
+    )))
 
 
 def koszul_betti(
@@ -347,40 +350,37 @@ def koszul_betti(
     generators).
 
     beta_{i,a} is the reduced homology in dimension i-1 of the complex
-    {b <= support(a) : x^(a-b) in I} (Miller-Sturmfels, Thm 1.34).  Its
-    faces are read off the divisor-box membership table: generator
-    exponents are grid values, so one below a_i is one at or below the
-    previous grid value, and x^(a-b) is in I iff the cell one step down
-    every axis of b is.  Complexes are keyed by (support size, face
-    bitmask); each distinct one has its homology computed once per call.
-    Raises CapacityError, before allocating, when the box exceeds
-    ``BOX_CAP`` cells.
+    {b <= support(a) : x^(a-b) in I} (Miller-Sturmfels, Thm 1.34).  As
+    exponents are grid values, x^(a-b) is in I iff the divisor-box cell one
+    step down every axis of b is in the membership plane.  Points of one
+    support share these steps, so their face bits are gathered in bulk, one
+    ``itemgetter`` pass per face pattern.  Each distinct complex (its face
+    bits) has its homology computed once per call.  Raises CapacityError,
+    before allocating, past ``BOX_CAP`` cells.
     """
     box = _DivisorBox(ideal)
-    reach, strides = box.reach, box.strides
-    homology: dict[tuple[int, int], dict[int, int]] = {}
-    multigraded: dict[tuple, int] = {}
+    member = memoryview(box.flags(box.member))
+    by_support: dict[tuple[bool, ...], list[tuple]] = defaultdict(list)
     for a in lcm_lattice(ideal):
-        idx = box.cell(a)
-        # steps[k]: index distance to the cell one step down every support
-        # axis in the bit pattern k
-        support = [i for i, e in enumerate(a) if e]
+        by_support[tuple(map(bool, a))].append(a)
+    homology: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    multigraded: dict[tuple, int] = {}
+    for support, points in by_support.items():
+        # steps[k]: index distance one step down every support axis in pattern k
         steps = [0]
-        for i in support:
-            steps += [d + strides[i] for d in steps]
-        # bit k of mask: the face with bit pattern k over the support
-        mask = 0
-        for k, d in enumerate(steps):
-            if reach[idx - d]:
-                mask |= 1 << k
-        key = (len(support), mask)
-        ranks = homology.get(key)
-        if ranks is None:
-            faces = [k for k in range(len(steps)) if mask >> k & 1]
-            ranks = homology[key] = _homology(faces, field)
-        for i, r in ranks.items():
+        for s in compress(box.strides, support):
+            steps += [d + s for d in steps]
+        low = steps[-1]  # to the lowest cell any face reads
+        gather = itemgetter(*[box.index(a) - low for a in points])
+        columns = [gather(member[low - d:]) for d in steps]
+        # itemgetter of one index returns the bare item, not a 1-tuple
+        keys = zip(*columns) if points[1:] else [tuple(columns)]
+        for a, key in zip(points, keys):
+            if key not in homology:
+                ranks = _homology([k for k, bit in enumerate(key) if bit], field)
+                homology[key] = [(i, r) for i, r in ranks.items() if r]
             # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
-            if r:
+            for i, r in homology[key]:
                 multigraded[(i, a)] = r
     return BettiTable(ideal.nvars, field, multigraded)
 

@@ -216,6 +216,11 @@ def test_divisor_box_cap_raises_before_allocating():
         lcm_lattice(I)
 
 
+def test_divisor_box_of_exactly_box_cap_cells_is_accepted():
+    # x1 * ... * x21 spans 2^21 = BOX_CAP cells: the cap refuses only past it
+    assert lcm_lattice(MonomialIdeal(21, [Monomial((1,) * 21)])) == [(1,) * 21]
+
+
 # ---------------------------------------------------------------------------
 # engine agreement
 
@@ -301,9 +306,7 @@ def reference_betti_f2(I, lattice):
     return table
 
 
-@settings(derandomize=True, deadline=None)
-@given(gapped_ideals())
-def test_koszul_matches_taylor_and_brute_force_lattice(I):
+def assert_koszul_matches_oracles(I):
     gens = [g.exponents for g in I.generators]
     lcms = {
         tuple(map(max, zip(*subset)))
@@ -315,6 +318,40 @@ def test_koszul_matches_taylor_and_brute_force_lattice(I):
         assert koszul_betti(I, field) == taylor_strand_betti(I, field)
     # both engines take homology with the same routine; check it apart
     assert koszul_betti(I, F2).multigraded == reference_betti_f2(I, lcms)
+
+
+@settings(derandomize=True, deadline=None)
+@given(gapped_ideals())
+def test_koszul_matches_taylor_and_brute_force_lattice(I):
+    assert_koszul_matches_oracles(I)
+
+
+def _six_variable_ideals():
+    rng = random.Random(2009)
+    return [
+        MonomialIdeal(6, [
+            Monomial(tuple(rng.choice((0, 2, 3, 5, 7)) for _ in range(6)))
+            for _ in range(rng.randint(5, 9))
+        ])
+        for _ in range(6)
+    ]
+
+
+@pytest.mark.parametrize("I", [
+    MonomialIdeal.unit(1),
+    MonomialIdeal.unit(4),
+    MonomialIdeal.zero(1),
+    ideal(1, (3,)),
+    ideal(1, (5,), (2,)),
+    # x2 is in no generator: an axis of length 1 with no cell off position 0
+    ideal(4, (1, 0, 2, 0), (0, 0, 1, 3), (2, 0, 0, 1)),
+    ideal(6, (2, 0, 3, 1, 0, 4), (0, 0, 5, 2, 1, 1), (3, 0, 0, 0, 2, 2)),
+    *_six_variable_ideals(),
+])
+def test_divisor_box_planes_on_edge_cases(I):
+    if I.nvars == 6:  # planes of many 64-bit words, shifted by more than one
+        assert resolution._DivisorBox(I).strides[0] > 64
+    assert_koszul_matches_oracles(I)
 
 
 def test_betti_table_auto_engine_switches():

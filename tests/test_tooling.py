@@ -1,6 +1,7 @@
 import argparse
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import coverideals
@@ -28,6 +29,21 @@ def test_no_module_imports_signal():
     for path in SOURCES:
         modules = imported_modules(ast.parse(path.read_text(), str(path)))
         assert not {m for m in modules if m.split(".")[0] == "signal"}, path.name
+
+
+def test_every_import_is_standard_library():
+    # pyproject.toml declares no dependencies and the README promises none,
+    # yet a third-party package that happens to be installed would import
+    # fine here; relative imports stay inside the package.
+    assert SOURCES
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        absolute = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        absolute |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        outside = {m for m in absolute if m.split(".")[0] not in sys.stdlib_module_names}
+        assert not outside, (path.name, outside)
 
 
 def test_no_module_reads_the_environment():
