@@ -3,7 +3,9 @@
 The boundary matrices this package produces are sparse with entries that
 start at +-1, so ranks are computed by a column-reduction elimination in the
 style of the persistence algorithm: each column is reduced against the
-pivot column with the same lowest row until its lowest row is fresh.
+pivot column with the same highest nonzero row until that row, its pivot
+row, is fresh.  ``matrix_rank`` hands the pivot rows back on request, for
+clearing in chain complexes (Chen-Kerber, EuroCG 2011).
 
 Over the rationals the updates are fraction-free: columns stay integral and
 are divided by their content after every combination, which keeps entries
@@ -20,18 +22,26 @@ from math import gcd
 from typing import Iterable
 
 
-def matrix_rank(columns: Iterable[dict], p: int | None = None) -> int:
+def matrix_rank(
+    columns: Iterable[dict], p: int | None = None, pivots: set[int] | None = None
+) -> int:
     """Rank of the matrix whose columns are {row_index: value} dicts, with
     non-negative integer row indices and integer values.
 
-    ``p`` selects GF(p); ``None`` means exact rank over the rationals.
+    ``p`` selects GF(p); ``None`` means exact rank over the rationals.  A
+    set ``pivots`` receives the pivot rows, one per unit of rank: the rows
+    r where the rows from r up have larger rank than the rows above r.
     Input dicts are not modified.
     """
     if p is None:
-        return _rank_rationals(columns)
-    if p == 2:
-        return _rank_mod_2(columns)
-    return _rank_mod_p(columns, p)
+        reduced = _rank_rationals(columns)
+    elif p == 2:
+        reduced = _rank_mod_2(columns)
+    else:
+        reduced = _rank_mod_p(columns, p)
+    if pivots is not None:
+        pivots.update(reduced)
+    return len(reduced)
 
 
 def _content_reduce(col: dict) -> None:
@@ -45,9 +55,8 @@ def _content_reduce(col: dict) -> None:
             col[r] //= g
 
 
-def _rank_rationals(columns: Iterable[dict]) -> int:
-    pivots: dict[int, dict] = {}  # lowest row -> pivot column
-    rank = 0
+def _rank_rationals(columns: Iterable[dict]) -> dict[int, dict]:
+    pivots: dict[int, dict] = {}  # highest row -> pivot column
     for col in columns:
         col = {r: v for r, v in col.items() if v}
         while col:
@@ -56,7 +65,6 @@ def _rank_rationals(columns: Iterable[dict]) -> int:
             if piv is None:
                 _content_reduce(col)
                 pivots[low] = col
-                rank += 1
                 break
             a, b = piv[low], col[low]
             # col <- a*col - b*piv zeroes row `low` and only touches rows below it
@@ -71,12 +79,11 @@ def _rank_rationals(columns: Iterable[dict]) -> int:
                     new.pop(r, None)
             col = new
             _content_reduce(col)
-    return rank
+    return pivots
 
 
-def _rank_mod_p(columns: Iterable[dict], p: int) -> int:
-    pivots: dict[int, dict] = {}
-    rank = 0
+def _rank_mod_p(columns: Iterable[dict], p: int) -> dict[int, dict]:
+    pivots: dict[int, dict] = {}  # highest row -> pivot column
     for col in columns:
         col = {r: v % p for r, v in col.items() if v % p}
         while col:
@@ -84,7 +91,6 @@ def _rank_mod_p(columns: Iterable[dict], p: int) -> int:
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
-                rank += 1
                 break
             factor = (col[low] * pow(piv[low], p - 2, p)) % p
             new = dict(col)
@@ -95,10 +101,10 @@ def _rank_mod_p(columns: Iterable[dict], p: int) -> int:
                 else:
                     new.pop(r, None)
             col = new
-    return rank
+    return pivots
 
 
-def _rank_mod_2(columns: Iterable[dict]) -> int:
+def _rank_mod_2(columns: Iterable[dict]) -> dict[int, int]:
     pivots: dict[int, int] = {}  # highest set bit -> packed pivot column
     for col in columns:
         x = 0
@@ -112,4 +118,4 @@ def _rank_mod_2(columns: Iterable[dict]) -> int:
                 pivots[top] = x
                 break
             x ^= piv
-    return len(pivots)
+    return pivots

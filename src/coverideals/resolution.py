@@ -173,11 +173,21 @@ def _homology(faces: Iterable[int], field: FieldChoice) -> dict[int, int]:
     and Taylor strata do.  For a simplicial complex (empty face included)
     the rank at size s is reduced homology in dimension s-1.
 
+    Boundaries are ranked from the largest size down, with clearing
+    (Chen-Kerber, EuroCG 2011): the reduced column of d_{s+1} with pivot
+    row r is a sum of boundaries, so a cycle whose highest face is the r-th
+    face of size s; d_s kills it, so column r of d_s is a combination of
+    earlier columns and is never built, which by induction leaves rank d_s
+    unchanged over any field.  This needs the rows of d_{s+1} in the order
+    of the columns of d_s (both are positions in ``by_size[s]``) and every
+    ``matrix_rank`` kernel pivoting on the highest nonzero row.
+
     Over Q every boundary is ranked mod 2 first.  Where the mod-2 ranks of
     the two boundaries at a size add up to its face count, both are the
     rational ranks; only a boundary that neither of its end sizes certifies
-    is eliminated again, exactly, over Q.  That happens only where mod-2
-    homology does not vanish at both ends, as on the RP^2 triangulation.
+    is eliminated again, exactly and uncleared (mod-2 pivots do not clear
+    rational columns), over Q.  That happens only where mod-2 homology does
+    not vanish at both ends, as on the RP^2 triangulation.
     """
     by_size: dict[int, list[int]] = defaultdict(list)
     for f in faces:
@@ -186,11 +196,13 @@ def _homology(faces: Iterable[int], field: FieldChoice) -> dict[int, int]:
     # boundary matrix of the next size up
     index = {f: i for fs in by_size.values() for i, f in enumerate(fs)}
     p = 2 if field.p is None else field.p
-    # bd_rank[s]: rank of the boundary from faces of size s to size s-1
-    bd_rank = {
-        size: matrix_rank(_boundary(fs, index), p) if size - 1 in by_size else 0
-        for size, fs in by_size.items()
-    }
+    bd_rank: dict[int, int] = {}  # s -> rank of the boundary from size s to size s-1
+    cleared: set[int] = set()  # pivot rows of the boundary from size s+1
+    for size in sorted(by_size, reverse=True):
+        kept = [f for i, f in enumerate(by_size[size]) if i not in cleared]
+        cleared = set()
+        has_rows = size - 1 in by_size
+        bd_rank[size] = matrix_rank(_boundary(kept, index), p, cleared) if has_rows else 0
     if field.p is None:
         # The boundary matrices are integral, so rank_Q >= rank_2 for each
         # (a minor that is nonzero mod 2 is a nonzero integer), and

@@ -52,14 +52,42 @@ def random_columns(rng, nrows):
     return columns
 
 
-@pytest.mark.parametrize("p", [None, 2, 3])
-def test_matrix_rank_matches_reference_elimination(p):
+def seeded_matrices(p):
+    """400 seeded random matrices for the field ``p``."""
     rng = random.Random(20261018 + (p or 0))
     for _ in range(400):
         # past 64 rows the packed GF(2) columns are multi-word integers
-        columns = random_columns(rng, rng.choice((3, 6, 12, 100)))
+        yield random_columns(rng, rng.choice((3, 6, 12, 100)))
+
+
+def reference_pivot_rows(columns, p=None):
+    """The rows r where the rows from r up have larger rank than the rows
+    above r.  Any column reduction that pivots on the highest nonzero row
+    ends with exactly these as the highest rows of its nonzero columns, since
+    reducing against earlier columns keeps the rank of every such slice."""
+
+    def rank_from(r):
+        return reference_rank([{k: v for k, v in col.items() if k >= r} for col in columns], p)
+
+    return {r for r in {r for col in columns for r in col} if rank_from(r) > rank_from(r + 1)}
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_matrix_rank_matches_reference_elimination(p):
+    for columns in seeded_matrices(p):
         before = copy.deepcopy(columns)
         assert matrix_rank(columns, p) == reference_rank(columns, p), columns
+        assert columns == before
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_matrix_rank_pivot_rows_match_reference(p):
+    for columns in seeded_matrices(p):
+        before = copy.deepcopy(columns)
+        pivots = set()
+        rank = matrix_rank(columns, p, pivots)
+        assert pivots == reference_pivot_rows(columns, p), columns
+        assert len(pivots) == rank
         assert columns == before
 
 
@@ -76,3 +104,19 @@ def test_matrix_rank_empty_and_one_shot_input():
         assert matrix_rank([], p) == 0
         assert matrix_rank([{}, {0: 0}], p) == 0
         assert matrix_rank(iter([{0: 1}, {1: 1}, {0: 1, 1: 1}]), p) == 2
+
+
+def test_matrix_rank_pivot_rows_of_empty_and_one_shot_input():
+    for p in (None, 2, 3):
+        pivots = set()
+        assert matrix_rank([], p, pivots) == 0 and pivots == set()
+        assert matrix_rank([{}, {0: 0}], p, pivots) == 0 and pivots == set()
+        # rows are added to what the set already holds
+        pivots = {7}
+        assert matrix_rank(iter([{0: 1}, {1: 1}, {0: 1, 1: 1}]), p, pivots) == 2
+        assert pivots == {0, 1, 7}
+        # the second column's highest row 3 is taken by the first, so it
+        # pivots on row 2; the third is twice the first (zero mod 2)
+        pivots = set()
+        assert matrix_rank([{0: 1, 3: 1}, {2: 1, 3: 1}, {0: 2, 3: 2}], p, pivots) == 2
+        assert pivots == {2, 3}

@@ -474,12 +474,15 @@ def reference_homology(faces, p):
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """The field argument of every ``matrix_rank`` call made by resolution."""
+    """(field, column count, rank) of every ``matrix_rank`` call made by
+    resolution."""
     calls = []
 
-    def counting(columns, p=None):
-        calls.append(p)
-        return matrix_rank(columns, p)
+    def counting(columns, p=None, pivots=None):
+        columns = list(columns)
+        rank = matrix_rank(columns, p, pivots)
+        calls.append((p, len(columns), rank))
+        return rank
 
     monkeypatch.setattr(resolution, "matrix_rank", counting)
     return calls
@@ -492,10 +495,31 @@ def test_rational_ranks_are_certified_mod_2(rank_calls):
     # mod-2 homology does not vanish
     cone = _closure(t + (7,) for t in PROJECTIVE_PLANE_TRIANGLES)
     assert resolution._homology(_masks(cone), RATIONALS) == {s: 0 for s in range(5)}
-    assert rank_calls and set(rank_calls) == {2}
+    assert rank_calls and {p for p, _, _ in rank_calls} == {2}
     rp2 = resolution._homology(_masks(_closure(PROJECTIVE_PLANE_TRIANGLES)), RATIONALS)
     assert [rp2[s] for s in range(4)] == [0, 0, 0, 0]
-    assert None in rank_calls
+    assert None in {p for p, _, _ in rank_calls}
+
+
+def test_clearing_ranks_only_pivot_columns(rank_calls):
+    # On an acyclic complex, clearing leaves exactly the columns that become
+    # pivots: every column whose face is a pivot row of the boundary one
+    # size up is skipped, and every other one is independent.
+    simplex = range(1 << 4)
+    cone = _masks(_closure(t + (7,) for t in PROJECTIVE_PLANE_TRIANGLES))
+    for faces, columns in ((simplex, 8), (cone, None)):
+        for field in (F2, FieldChoice(3)):
+            rank_calls.clear()
+            assert set(resolution._homology(faces, field).values()) == {0}
+            assert {p for p, _, _ in rank_calls} == {field.p}
+            passed = sum(n for _, n, _ in rank_calls)
+            assert passed == sum(rank for _, _, rank in rank_calls)
+            assert columns is None or passed == columns  # of 15 boundary columns
+    # over Q, RP^2 is ranked exactly from all 10 triangles
+    rank_calls.clear()
+    rp2 = resolution._homology(_masks(_closure(PROJECTIVE_PLANE_TRIANGLES)), RATIONALS)
+    assert set(rp2.values()) == {0}
+    assert (None, 10, 10) in rank_calls
 
 
 def test_homology_matches_fraction_reference():

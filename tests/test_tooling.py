@@ -70,6 +70,26 @@ def test_no_module_reads_the_environment():
         assert not reads, (path.name, reads)
 
 
+def test_ranks_pass_through_matrix_rank():
+    # matrix_rank is the one traced rank layer; a module calling a kernel
+    # directly would rank matrices the benchmark never sees.
+    linalg = ast.parse((PACKAGE / "linalg.py").read_text())
+    kernels = {
+        node.name for node in linalg.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_rank_")
+    }
+    assert kernels
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not named & kernels, (path.name, named & kernels)
+
+
 def test_all_exports_resolve():
     # Every listed name exists, and every public name the package imports is
     # listed, so deleting a function cannot leave a stale export behind.
