@@ -13,13 +13,15 @@ Graphs come from ``--graph FILE`` (format: ``graph <n>`` then ``u v`` lines),
 ``--complete N`` or ``--counterexample``; ideal-consuming commands also accept
 ``--ideal FILE`` (format: ``vars <n>`` then one monomial per line, e.g.
 ``x1^2*x3``).  Exit codes: 0 property holds, 1 property fails, 2 usage or
-input error, 3 capacity (a size cap or the search row budget).
+input error, 3 capacity (a size cap or the search row budget), 141 stdout
+closed by its reader (as if killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import textwrap
 
@@ -363,11 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            status = exc.code if isinstance(exc.code, int) else 2
+        else:
+            status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout went away.  Exit as a process killed by
+        # SIGPIPE would (128 + 13), silently: the output left in the buffer
+        # goes to the null device when Python flushes it at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

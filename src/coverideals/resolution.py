@@ -6,8 +6,12 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
 * ``taylor_strand_betti`` works straight from the subset complex of the
   generators; the strand of the complex at a fixed multidegree, with the
   differential keeping a face only when dropping a generator leaves the lcm
-  unchanged, has the Betti numbers as its homology.  Cost is 2^g in the
-  number of generators, so it is the small-instance oracle.
+  unchanged, has the Betti numbers as its homology.  Each generator is coded
+  as one int, with each exponent's position among the generators'
+  exponents in its variable written in unary, so the lcm of a subset is the
+  OR of its generators' codes and is decoded to exponents only where a
+  Betti number lives.  Cost is 2^g in the number of generators, so it is
+  the small-instance oracle.
 
 * ``koszul_betti`` enumerates the lcm lattice of the generators and reads
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
@@ -19,11 +23,13 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   sweeps along the axes.  A box past ``BOX_CAP`` cells raises CapacityError
   before anything is allocated.
 
-Over Q, ``_homology`` ranks every boundary mod 2 first (the packed GF(2)
-kernel of ``matrix_rank``).  Integer boundaries with d^2 = 0 make those
-ranks the rational ones wherever the mod-2 ranks at a size add up to its
-face count; a boundary that neither of its end sizes certifies, which needs
-mod-2 homology there (the RP^2 triangulation), is ranked again exactly.
+``_homology`` builds the boundary columns one at a time as the rank kernel
+reads them, so no boundary matrix is held whole.  Over Q it ranks every
+boundary mod 2 first (the packed GF(2) kernel of ``matrix_rank``).  Integer
+boundaries with d^2 = 0 make those ranks the rational ones wherever the
+mod-2 ranks at a size add up to its face count; a boundary that neither of
+its end sizes certifies, which needs mod-2 homology there (the RP^2
+triangulation), is ranked again exactly.
 
 ``betti_table(engine="auto")`` uses the Taylor engine up to ``TAYLOR_CAP``
 generators and the Koszul engine past it.  Linear resolutions,
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from math import prod
 from operator import getitem, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
 from .linalg import matrix_rank
@@ -223,9 +229,9 @@ def _homology(faces: Iterable[int], field: FieldChoice) -> dict[int, int]:
     }
 
 
-def _boundary(faces: list[int], index: dict[int, int]) -> list[dict]:
-    """Boundary matrix columns of ``faces``, rows numbered by ``index``."""
-    cols = []
+def _boundary(faces: list[int], index: dict[int, int]) -> Iterator[dict]:
+    """Boundary matrix columns of ``faces``, rows numbered by ``index``,
+    built one at a time as the rank kernel reads them."""
     for f in faces:
         col = {}
         sign = 1
@@ -237,8 +243,7 @@ def _boundary(faces: list[int], index: dict[int, int]) -> list[dict]:
                 col[row] = sign
             sign = -sign
             rest ^= low
-        cols.append(col)
-    return cols
+        yield col
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +254,18 @@ def taylor_strand_betti(
     ideal: MonomialIdeal, field: FieldChoice = RATIONALS
 ) -> BettiTable:
     """Multigraded Betti numbers from the strands of the generator-subset
-    complex.  Exponential in the generator count; past ``TAYLOR_CAP`` (14)
-    generators it raises CapacityError, and ``koszul_betti`` should be used
-    instead."""
+    complex.
+
+    The subsets are grouped by the code of their lcm: on axis i a generator
+    sets the k low bits of the axis's field when its exponent is the k-th
+    smallest (from 0) of the generators' exponents in x_i.  The fields
+    hold unary positions, so the OR of two codes is the code of their lcm,
+    and a code has at most n * (g - 1) bits whatever the exponents.  A
+    stratum's code is decoded (axis i: its values at the field's popcount)
+    only when the stratum has homology.
+
+    Exponential in the generator count; past ``TAYLOR_CAP`` (14) generators
+    it raises CapacityError, and ``koszul_betti`` should be used instead."""
     gens = ideal.generators
     g = len(gens)
     if g > TAYLOR_CAP:
@@ -259,26 +273,36 @@ def taylor_strand_betti(
             f"{g} generators exceeds the subset-complex cap {TAYLOR_CAP}; "
             "use koszul_betti"
         )
-    if g == 0:
-        return BettiTable(ideal.nvars, field, {})
     exps = [m.exponents for m in gens]
-    nmasks = 1 << g
-    lcm_of = [None] * nmasks
-    for mask in range(1, nmasks):
-        low = mask & -mask
-        rest = mask ^ low
-        e = exps[low.bit_length() - 1]
-        lcm_of[mask] = e if not rest else tuple(map(max, lcm_of[rest], e))
+    values = [sorted(set(axis)) for axis in zip(*exps)]
+    fields = []  # (offset, width mask, grid values) per axis
+    offset = 0
+    for vs in values:
+        fields.append((offset, (1 << (len(vs) - 1)) - 1, vs))
+        offset += len(vs) - 1
+    codes = [
+        sum(((1 << vs.index(v)) - 1) << off for v, (off, _, vs) in zip(e, fields))
+        for e in exps
+    ]
+    # lcm_of[mask]: code of the lcm of the generators in mask, built one
+    # generator at a time (the masks holding generator k are those below
+    # 2^k with bit k added)
+    lcm_of = [0]
+    for c in codes:
+        lcm_of += [d | c for d in lcm_of]
 
-    strata: dict[tuple, list[int]] = defaultdict(list)
-    for mask in range(1, nmasks):
+    strata: dict[int, list[int]] = defaultdict(list)
+    for mask in range(1, 1 << g):
         strata[lcm_of[mask]].append(mask)
+    del lcm_of  # 2^g codes: a quarter of the call's peak memory at g = 14
 
     multigraded: dict[tuple, int] = {}
-    for a, masks in strata.items():
-        for size, h in _homology(masks, field).items():
+    for code, masks in strata.items():
+        homology = [(size, h) for size, h in _homology(masks, field).items() if h]
+        if homology:
+            a = tuple(vs[((code >> off) & width).bit_count()] for off, width, vs in fields)
             # a strand face of `size` generators sits in homological degree size-1
-            if h:
+            for size, h in homology:
                 multigraded[(size - 1, a)] = h
     return BettiTable(ideal.nvars, field, multigraded)
 

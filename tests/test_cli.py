@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +382,30 @@ def test_usage_error_exit_code(capsys):
     for command in ("gens", "quotients", "polymatroidal"):
         code, _, _ = run(capsys, command, "--complete", "3", "--t", "1", "--field", "4")
         assert code == 2, command
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_in_silence(unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout (or, when buffered, the flush) fails with EPIPE.  The exit status
+    # is the one a shell reports for SIGPIPE, and nothing reaches stderr:
+    # neither an input-error line nor Python's "Exception ignored" at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "coverideals", "gens", "--complete", "12", "--t", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, b"")
 
 
 def test_mutually_exclusive_sources(capsys):

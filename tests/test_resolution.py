@@ -14,7 +14,7 @@ from coverideals.graphs import (
     cover_ideal,
 )
 from coverideals.linalg import matrix_rank
-from coverideals.monomials import Monomial, MonomialIdeal
+from coverideals.monomials import EXPONENT_CAP, Monomial, MonomialIdeal
 from coverideals.resolution import (
     BOX_CAP,
     RATIONALS,
@@ -326,6 +326,21 @@ def test_koszul_matches_taylor_and_brute_force_lattice(I):
     assert_koszul_matches_oracles(I)
 
 
+# Taylor codes an lcm as one int: on each axis, the position of the exponent
+# among the generators' exponents there, in unary.  Fourteen generators with
+# fourteen distinct exponents on every axis, up to EXPONENT_CAP: coded by the
+# exponents themselves, the lcms would need 170 and 301 bits; by positions
+# they take 3 * 13 and 5 * 13.
+WIDE_3 = [(3, 19, 42), (27, 30, 7), (63, 1, 0), (4, 7, 53), (21, 38, 5),
+          (51, 4, 9), (10, 46, 8), (14, 44, 6), (11, 51, 2), (7, 54, 3),
+          (30, 23, 11), (34, 20, 10), (43, 0, 21), (1, 36, 27)]
+WIDE_5 = [(34, 17, 1, 36, 53), (62, 34, 20, 49, 10), (57, 49, 43, 46, 11),
+          (36, 27, 5, 28, 54), (1, 48, 18, 38, 56), (12, 60, 19, 62, 32),
+          (53, 21, 30, 26, 60), (52, 15, 51, 42, 59), (11, 16, 55, 24, 41),
+          (37, 20, 11, 35, 19), (63, 36, 54, 6, 31), (35, 23, 9, 51, 22),
+          (28, 13, 53, 57, 33), (64, 24, 6, 37, 42)]
+
+
 def _six_variable_ideals():
     rng = random.Random(2009)
     return [
@@ -347,10 +362,21 @@ def _six_variable_ideals():
     ideal(4, (1, 0, 2, 0), (0, 0, 1, 3), (2, 0, 0, 1)),
     ideal(6, (2, 0, 3, 1, 0, 4), (0, 0, 5, 2, 1, 1), (3, 0, 0, 0, 2, 2)),
     *_six_variable_ideals(),
+    ideal(1, (EXPONENT_CAP,)),
+    ideal(2, (EXPONENT_CAP, 0), (0, EXPONENT_CAP), (32, 32)),
+    # x2 is in no generator and every generator has x3^2: Taylor code fields
+    # of width 0, one of them off exponent 0
+    ideal(4, (EXPONENT_CAP, 0, 2, 1), (0, 0, 2, 5), (7, 0, 2, 3)),
+    ideal(3, *WIDE_3),
+    ideal(5, *WIDE_5),
 ])
 def test_divisor_box_planes_on_edge_cases(I):
     if I.nvars == 6:  # planes of many 64-bit words, shifted by more than one
         assert resolution._DivisorBox(I).strides[0] > 64
+    exps = [g.exponents for g in I.generators]
+    if len(exps) == TAYLOR_CAP:  # the WIDE ideals
+        assert all(len(set(axis)) == TAYLOR_CAP for axis in zip(*exps))
+        assert sum(map(max, zip(*exps))) > 64
     assert_koszul_matches_oracles(I)
 
 

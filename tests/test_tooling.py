@@ -90,6 +90,56 @@ def test_ranks_pass_through_matrix_rank():
         assert not named & kernels, (path.name, named & kernels)
 
 
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def module_level(node: ast.AST):
+    """The nodes of a module outside its function and class bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from module_level(child)
+
+
+def global_state(tree: ast.Module) -> list[str]:
+    """Module-level dicts, lists and sets other than ``__all__``, and uses of
+    functools.cache or lru_cache, in a parsed module."""
+    found = []
+    for node in module_level(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            value = node.value
+            mutable = isinstance(value, MUTABLE_LITERALS) or (
+                isinstance(value, ast.Call)
+                and ast.unparse(value.func).rsplit(".", 1)[-1] in MUTABLE_CALLS
+            )
+            if mutable and [ast.unparse(t) for t in targets] != ["__all__"]:
+                found.append(ast.unparse(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in ("cache", "lru_cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache") \
+                and ast.unparse(node.value) == "functools":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_process_global_state():
+    # The README promises pure functions and no synchronization: a module
+    # level memo or registry would be shared by every caller and thread.
+    sample = ast.parse(
+        "import functools\nfrom functools import lru_cache\n__all__ = ['f']\n"
+        "MEMO = {}\nif True:\n    SEEN: set = set()\nCAP = 3\nNAMES = ('a',)\n"
+        "@functools.cache\ndef f():\n    local = []\n"
+    )
+    assert sorted(global_state(sample)) == [
+        "MEMO = {}", "SEEN: set = set()", "functools.cache", "lru_cache"]
+    assert SOURCES
+    for path in SOURCES:
+        assert not global_state(ast.parse(path.read_text(), str(path))), path.name
+
+
 def test_all_exports_resolve():
     # Every listed name exists, and every public name the package imports is
     # listed, so deleting a function cannot leave a stale export behind.
