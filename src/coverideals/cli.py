@@ -47,6 +47,13 @@ from .resolution import (
 from .search import ROW_BUDGET, SweepConfig, sweep, to_csv, to_jsonl
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # The stock help goes through _print_message, which swallows OSError,
+        # so help into a closed unbuffered stdout was lost with exit 0.
+        (file or sys.stdout).write(self.format_help())
+
+
 def _add_graph_source(parser: argparse.ArgumentParser, with_ideal: bool) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="FILE", help="graph file")
@@ -288,7 +295,7 @@ def _cmd_search(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coverideals",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

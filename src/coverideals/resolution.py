@@ -530,16 +530,20 @@ def is_componentwise_linear(
 ) -> CwlReport:
     """Check a linear resolution for every degree component of the ideal.
 
-    Degrees from the smallest to the largest minimal-generator degree
-    suffice: past the top degree each component is the maximal-ideal
-    multiple of the previous one, which preserves having a linear
-    resolution (Herzog-Hibi, Nagoya Math. J. 1999).
+    In a degree d where the ideal has no minimal generator, the component
+    is the maximal-ideal multiple of the degree-(d-1) one, and that
+    preserves having a linear resolution over any field (Eisenbud-Goto,
+    J. Algebra 1984).  So degrees from the smallest to the largest
+    minimal-generator degree suffice (Herzog-Hibi, Nagoya Math. J. 1999),
+    and within them a gap degree that follows a linear one is linear
+    without a Betti table.  A gap degree after a non-linear one is still
+    computed.
 
     ``budget`` caps the generators summed over the degree components (0
-    means no cap).  Every component is built before any Betti table, so an
-    ideal past the budget raises ``CapacityError`` having computed none.  The
-    sum depends on the ideal alone, so the same ideals are refused on every
-    host and thread.
+    means no cap), gap degrees included.  Every component is built before
+    any Betti table, so an ideal past the budget raises ``CapacityError``
+    having computed none.  The sum depends on the ideal alone, so the same
+    ideals are refused on every host and thread.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0 (0 means no budget)")
@@ -556,8 +560,12 @@ def is_componentwise_linear(
                 f"the degree-{lo}..{d} components have {built} generators; "
                 f"beyond the row budget of {budget}"
             )
+    generated = set(ideal.degrees())
     verdicts = []
     for d, comp in enumerate(components, start=lo):
+        if d not in generated and verdicts[-1].status == "linear":
+            verdicts.append(DegreeVerdict(d, "linear"))
+            continue
         ok, offending = has_linear_resolution(comp, field, engine)
         verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
     overall = all(v.status != "not linear" for v in verdicts)

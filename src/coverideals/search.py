@@ -33,7 +33,7 @@ from .resolution import FieldChoice, RATIONALS, is_componentwise_linear
 
 # Default row budget: generators summed over the degree components a row
 # builds.  Row time grows with this count.  The value is the largest count of
-# any row with n <= 5 and t <= 4 (the star K_{1,4} at t = 4, about 4.5 s on a
+# any row with n <= 5 and t <= 4 (the star K_{1,4} at t = 4, about 2.2 s on a
 # 2-core Xeon), so sweeps over n <= 4 at any t, n = 5 at t <= 4 and n = 6 at
 # t <= 2 skip no row.
 ROW_BUDGET = 7_149

@@ -384,12 +384,27 @@ def test_usage_error_exit_code(capsys):
         assert code == 2, command
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_exits_141_in_silence(unbuffered):
+GENS_K12 = ["gens", "--complete", "12", "--t", "5"]
+
+
+@pytest.mark.parametrize(
+    "unbuffered, argv",
+    [
+        pytest.param(False, GENS_K12, id="False"),
+        pytest.param(True, GENS_K12, id="True"),
+        pytest.param(False, ["--help"], id="False-help"),
+        pytest.param(True, ["--help"], id="True-help"),
+        pytest.param(False, ["search", "--help"], id="False-search-help"),
+        pytest.param(True, ["search", "--help"], id="True-search-help"),
+    ],
+)
+def test_closed_stdout_exits_141_in_silence(unbuffered, argv):
     # The read end is closed before the child starts, so its first write to
     # stdout (or, when buffered, the flush) fails with EPIPE.  The exit status
     # is the one a shell reports for SIGPIPE, and nothing reaches stderr:
     # neither an input-error line nor Python's "Exception ignored" at exit.
+    # Help text too: argparse's own printing would swallow the error and
+    # exit 0 when stdout is unbuffered.
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -400,7 +415,7 @@ def test_closed_stdout_exits_141_in_silence(unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     try:
         child = subprocess.run(
-            [sys.executable, "-m", "coverideals", "gens", "--complete", "12", "--t", "5"],
+            [sys.executable, "-m", "coverideals", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     finally:

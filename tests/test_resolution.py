@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverideals import resolution
+from coverideals import resolution, search
 from coverideals.errors import CapacityError, NotEquigeneratedError
 from coverideals.graphs import (
     SimpleGraph,
@@ -19,6 +19,7 @@ from coverideals.resolution import (
     BOX_CAP,
     RATIONALS,
     TAYLOR_CAP,
+    DegreeVerdict,
     FieldChoice,
     betti_table,
     first_syzygy_degrees,
@@ -651,7 +652,8 @@ def test_complete_graph_cwl_small_grid():
 
 
 def test_complete_graph_k6_t2_cwl_through_betti():
-    # the paper's theorem at n = 6, decided from every component's Betti table
+    # the paper's theorem at n = 6, decided from the Betti tables of the
+    # generator degrees 6 and 10 (degrees 7-9 follow a linear degree 6)
     report = is_componentwise_linear(cover_ideal(complete_graph(6), 2))
     assert report.overall
     assert [(v.degree, v.status) for v in report.verdicts] == [
@@ -693,6 +695,99 @@ def test_budget_refuses_before_any_betti_table(monkeypatch, budget):
     with pytest.raises(CapacityError, match=f"row budget of {budget}"):
         is_componentwise_linear(star, budget=budget)
     assert tables == []
+
+
+def brute_force_verdicts(I, field):
+    """A Betti table for every degree from the lowest to the highest
+    generator degree, gap degrees included."""
+    verdicts = []
+    for d in range(I.min_degree(), I.max_degree() + 1):
+        ok, offending = resolution.has_linear_resolution(I.component(d), field)
+        verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
+    return tuple(verdicts)
+
+
+def _gapped_multidegree_ideals(count=30, max_component_gens=120):
+    """Seeded ideals in 2-5 variables with generators in two or more
+    degrees and a degree between them that holds no generator."""
+    rng = random.Random(1999)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 5)
+        gens = [Monomial(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(rng.randint(2, 4))]
+        I = MonomialIdeal(n, gens)
+        if I.is_zero():
+            continue
+        degrees = set(I.degrees())
+        span = range(I.min_degree(), I.max_degree() + 1)
+        if len(degrees) < 2 or len(degrees) == len(span):
+            continue
+        if sum(len(I.component(d).generators) for d in span) <= max_component_gens:
+            out.append(I)
+    return out
+
+
+def _graph_class_ideals(n_max=5, t_max=3):
+    """The order-t cover ideal of one graph per isomorphism class."""
+    for n in range(1, n_max + 1):
+        slots = search._edge_slots(n)
+        for least in sorted(set(search._least_in_orbit(n))):
+            G = search._graph_from_mask(n, least, slots)
+            for t in range(1, t_max + 1):
+                yield cover_ideal(G, t)
+
+
+# x1^2, x2^2, x3^4: degree 2 is not linear, degree 3 is a gap after it
+SQUARES_AND_FOURTH = ideal(3, (2, 0, 0), (0, 2, 0), (0, 0, 4))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+def test_gap_degree_verdicts_match_brute_force(monkeypatch, field):
+    # A gap degree after a linear one is linear by Eisenbud-Goto; the report
+    # must agree with a Betti table for every degree.  Both routes share one
+    # table per component, so the report's own degrees cost nothing twice.
+    tables = {}
+
+    def shared(comp, *args):
+        if comp.generators not in tables:
+            tables[comp.generators] = has_linear_resolution(comp, *args)
+        return tables[comp.generators]
+
+    monkeypatch.setattr(resolution, "has_linear_resolution", shared)
+    ideals = [SQUARES_AND_FOURTH, *_gapped_multidegree_ideals(), *_graph_class_ideals()]
+    for I in ideals:
+        if I.is_zero():
+            continue
+        expected = brute_force_verdicts(I, field)
+        report = is_componentwise_linear(I, field, with_certificate=False)
+        assert report.verdicts == expected, I.generators
+
+
+STAR_K15 = SimpleGraph(6, [(1, v) for v in range(2, 7)])
+
+
+@pytest.mark.parametrize(
+    "I, computed",
+    [
+        (cover_ideal(complete_graph(5), 3), [9, 12]),
+        (cover_ideal(complete_graph(6), 2), [6, 10]),
+        (cover_ideal(STAR_K15, 2), [2, 6, 10]),
+        (cover_ideal(counterexample_graph(), 2), [4, 5, 6]),
+        (cover_ideal(counterexample_graph(), 3), [6, 7, 9]),
+        (SQUARES_AND_FOURTH, [2, 3, 4]),
+    ],
+    ids=["K5-t3", "K6-t2", "star-K15-t2", "diamond-t2", "diamond-t3", "squares-fourth"],
+)
+def test_betti_tables_only_where_not_settled(monkeypatch, I, computed):
+    tables = []
+
+    def counting(comp, *args):
+        tables.append(comp.min_degree())
+        return has_linear_resolution(comp, *args)
+
+    monkeypatch.setattr(resolution, "has_linear_resolution", counting)
+    is_componentwise_linear(I, with_certificate=False)
+    assert tables == computed
 
 
 def test_cwl_report_json_schema():
