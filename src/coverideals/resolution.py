@@ -10,8 +10,10 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   as one int, with each exponent's position among the generators'
   exponents in its variable written in unary, so the lcm of a subset is the
   OR of its generators' codes and is decoded to exponents only where a
-  Betti number lives.  Cost is 2^g in the number of generators, so it is
-  the small-instance oracle.
+  Betti number lives.  A stratum whose lcm has a generator strictly below
+  it on every axis off the least exponent is a cone with no homology, and
+  is skipped before any boundary is built.  Cost is 2^g in the number of
+  generators, so it is the small-instance oracle.
 
 * ``koszul_betti`` enumerates the lcm lattice of the generators and reads
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
@@ -41,9 +43,8 @@ layered on top.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
-from dataclasses import dataclass
-from itertools import combinations, compress
+from collections import defaultdict, namedtuple
+from itertools import combinations, compress, islice
 from math import prod
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -65,19 +66,23 @@ FIELD_BOUND = 1 << 31
 BOX_CAP = 1 << 21
 
 
-@dataclass(frozen=True)
-class FieldChoice:
+class FieldChoice(namedtuple("FieldChoice", "p", defaults=(None,))):
     """Coefficient field: the rationals (p=None) or GF(p) for a prime
     p < ``FIELD_BOUND`` (2^31)."""
 
-    p: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None:
-            if self.p >= FIELD_BOUND:
-                raise ValueError(f"field size {self.p} is not below 2^31")
-            if self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
-                raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: Optional[int] = None):
+        if p is not None:
+            if p >= FIELD_BOUND:
+                raise ValueError(f"field size {p} is not below 2^31")
+            if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+                raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -264,6 +269,33 @@ def taylor_strand_betti(
     stratum's code is decoded (axis i: its values at the field's popcount)
     only when the stratum has homology.
 
+    Before any homology, each distinct lcm code is tested once for being a
+    cone, and a cone stratum is skipped: its masks are never grouped.  With
+    ``tops`` the top bit of every field of nonzero width, ``down = code &
+    (code >> 1) & ~tops`` is the code one position lower on every axis
+    (0 where the field is 0), and the stratum of a nonzero code is a cone
+    when some generator code c has ``c & ~down == 0``: that generator is
+    strictly below the lcm m on every axis where m is above the generators'
+    least exponent, and equal to m on the others.  Such a stratum has no
+    homology over any field (Taylor, 1966; Gasharov-Peeva-Welker, Math. Res.
+    Lett. 6, 1999):
+
+    * On an axis where m is at the least exponent, every generator dividing
+      m equals m there, so only the other axes can make the lcm of a subset
+      a proper divisor of m.
+    * Let Delta_<m be the subsets of the generators dividing m whose lcm
+      properly divides m, the empty set included.  A generator g strictly
+      below m on all those other axes is an apex of Delta_<m: adding g to
+      any member keeps its lcm below m on the axis that put it there (for
+      the empty set, {g} itself lies below m, as m is above the least
+      exponent somewhere).  So Delta_<m is a cone, hence acyclic.
+    * The stratum is the full simplex on the generators dividing m relative
+      to Delta_<m.  Both are acyclic, so by the long exact sequence of the
+      pair the stratum has no homology.
+
+    The argument uses only the subset complex, so this engine stays an
+    oracle independent of ``koszul_betti``.
+
     Exponential in the generator count; past ``TAYLOR_CAP`` (14) generators
     it raises CapacityError, and ``koszul_betti`` should be used instead."""
     gens = ideal.generators
@@ -291,10 +323,18 @@ def taylor_strand_betti(
     for c in codes:
         lcm_of += [d | c for d in lcm_of]
 
+    # `& ~tops` clears what the shift brings into each field's top bit from
+    # the field above; code 0 (one generator at the least exponents) is no cone
+    tops = sum(1 << (off + width.bit_length() - 1) for off, width, _ in fields if width)
+    kept = set()
+    for code in set(lcm_of):
+        down = code & (code >> 1) & ~tops
+        if not code or all(c & ~down for c in codes):
+            kept.add(code)
     strata: dict[int, list[int]] = defaultdict(list)
-    for mask in range(1, 1 << g):
+    for mask in compress(range(1, 1 << g), map(kept.__contains__, islice(lcm_of, 1, None))):
         strata[lcm_of[mask]].append(mask)
-    del lcm_of  # 2^g codes: a quarter of the call's peak memory at g = 14
+    del lcm_of  # 2^g codes: over half of the call's peak memory at g = 14
 
     multigraded: dict[tuple, int] = {}
     for code, masks in strata.items():
@@ -475,27 +515,25 @@ def has_linear_resolution(
     return True, None
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
-    degree: int
-    status: str  # "linear" | "not linear"
-    offending: Optional[tuple[int, int]] = None
+class DegreeVerdict(namedtuple("DegreeVerdict", "degree status offending", defaults=(None,))):
+    """``status`` is "linear" or "not linear"; ``offending`` is the first
+    coarse Betti entry (i, j) off the linear strand, or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CwlReport:
+class CwlReport(namedtuple(
+    "CwlReport", "nvars field verdicts overall vacuous certificate", defaults=(False, None)
+)):
     """Per-degree linearity verdicts plus the overall decision.
 
-    ``certificate`` carries a linear-quotients order when one was found,
-    which certifies the verdict independently of the Betti computation.
+    ``verdicts`` is a tuple of ``DegreeVerdict`` in ascending degree;
+    ``certificate`` carries a linear-quotients order (a tuple of monomials)
+    when one was found, which certifies the verdict independently of the
+    Betti computation.
     """
 
-    nvars: int
-    field: FieldChoice
-    verdicts: tuple[DegreeVerdict, ...]
-    overall: bool
-    vacuous: bool = False
-    certificate: Optional[tuple[Monomial, ...]] = None
+    __slots__ = ()
 
     def failing_degree(self) -> Optional[int]:
         for v in self.verdicts:
@@ -581,13 +619,14 @@ def is_componentwise_linear(
 # linear quotients
 
 
-@dataclass(frozen=True)
-class QuotientsResult:
-    ok: bool
-    # colon generators per step k = 2..r (step k lives at index k-2)
-    steps: tuple[tuple[Monomial, ...], ...]
-    failing_index: Optional[int] = None  # 1-based position of the bad f_k
-    offending: Optional[Monomial] = None  # a colon generator of degree != 1
+class QuotientsResult(namedtuple(
+    "QuotientsResult", "ok steps failing_index offending", defaults=(None, None)
+)):
+    """``steps`` holds the colon generators per step k = 2..r (step k at
+    index k-2); on failure ``failing_index`` is the 1-based position of the
+    bad f_k and ``offending`` a colon generator of degree != 1."""
+
+    __slots__ = ()
 
 
 def _colon(prefix: Sequence[Monomial], f: Monomial) -> tuple[Monomial, ...]:

@@ -23,54 +23,58 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .errors import CapacityError
 from .graphs import SimpleGraph, cover_ideal, complete_graph
-from .resolution import FieldChoice, RATIONALS, is_componentwise_linear
+from .resolution import RATIONALS, is_componentwise_linear
 
 # Default row budget: generators summed over the degree components a row
 # builds.  Row time grows with this count.  The value is the largest count of
-# any row with n <= 5 and t <= 4 (the star K_{1,4} at t = 4, about 2.2 s on a
+# any row with n <= 5 and t <= 4 (the star K_{1,4} at t = 4, about 1.6 s on a
 # 2-core Xeon), so sweeps over n <= 4 at any t, n = 5 at t <= 4 and n = 6 at
 # t <= 2 skip no row.
 ROW_BUDGET = 7_149
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_min: int = 1
-    n_max: int = 4
-    t_set: tuple[int, ...] = (1,)
-    chordal_only: bool = False
-    connected_only: bool = False
-    complete_only: bool = False
-    field: FieldChoice = RATIONALS
-    row_budget: int = ROW_BUDGET  # 0 = no budget
+class SweepConfig(namedtuple(
+    "SweepConfig",
+    "n_min n_max t_set chordal_only connected_only complete_only field row_budget",
+    defaults=(1, 4, (1,), False, False, False, RATIONALS, ROW_BUDGET),
+)):
+    """Which graphs and orders a sweep covers: vertex counts n_min..n_max,
+    the tuple ``t_set`` of orders, three graph filters, the coefficient
+    ``field`` and the ``row_budget`` (0 means no budget)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.n_min <= self.n_max <= 6:
             raise ValueError("vertex range must satisfy 1 <= n_min <= n_max <= 6")
         if not self.t_set or any(t < 1 or t > 6 for t in self.t_set):
             raise ValueError("t values must lie in 1..6")
         if self.row_budget < 0:
             raise ValueError("row budget must be >= 0 (0 means no budget)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass
-class SweepRecord:
-    n: int
-    t: int
-    edges: tuple[tuple[int, int], ...]
-    chordal: bool
-    cwl: Optional[bool]
-    failing_degree: Optional[int]
-    generator_count: Optional[int]
-    wall_ms: float
-    # "ok" | "skipped: capacity (<reason>)"; the row budget is one such cap
-    status: str = "ok"
+class SweepRecord(namedtuple(
+    "SweepRecord",
+    "n t edges chordal cwl failing_degree generator_count wall_ms status",
+    defaults=("ok",),
+)):
+    """One (graph, t) row.  ``cwl``, ``failing_degree`` and
+    ``generator_count`` are None on a skipped row; ``status`` is "ok" or
+    "skipped: capacity (<reason>)", the row budget being one such cap."""
+
+    __slots__ = ()
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {

@@ -19,6 +19,7 @@ from coverideals.resolution import (
     BOX_CAP,
     RATIONALS,
     TAYLOR_CAP,
+    CwlReport,
     DegreeVerdict,
     FieldChoice,
     betti_table,
@@ -59,10 +60,34 @@ def random_small_ideal(rng):
 def test_field_choice_validation():
     assert FieldChoice(2).label == "F2"
     assert RATIONALS.label == "Q"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
         FieldChoice(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^1 is not prime$"):
         FieldChoice(1)
+    with pytest.raises(ValueError, match=r"^field size 2147483648 is not below 2\^31$"):
+        FieldChoice(p=1 << 31)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        FieldChoice(3)._replace(p=4)
+
+
+def test_records_are_hashable_immutable_values():
+    assert FieldChoice() == RATIONALS and FieldChoice(p=3) == FieldChoice(3)
+    assert {FieldChoice(3): "F3", RATIONALS: "Q"}[FieldChoice(3)] == "F3"
+    assert str(FieldChoice(3)) == "F3" and repr(FieldChoice(3)) == "FieldChoice(p=3)"
+    verdict = DegreeVerdict(4, "not linear", (1, 6))
+    assert DegreeVerdict(2, "linear").offending is None
+    report = CwlReport(4, F2, (verdict,), False)
+    assert report == CwlReport(4, FieldChoice(2), (DegreeVerdict(4, "not linear", (1, 6)),), False)
+    assert hash(report) == hash(CwlReport(4, F2, (verdict,), False, False, None))
+    assert (report.vacuous, report.certificate, report.failing_degree()) == (False, None, 4)
+    quotients = resolution.linear_quotients_check([M(1, 0), M(0, 1)])
+    assert quotients == resolution.QuotientsResult(True, ((M(1, 0),),))
+    for record, name in ((RATIONALS, "p"), (verdict, "status"), (report, "overall"),
+                         (quotients, "ok")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 def test_parse_field():
@@ -353,7 +378,8 @@ def _six_variable_ideals():
     ]
 
 
-@pytest.mark.parametrize("I", [
+# I0-I17 in the ids of the tests that take them
+EDGE_IDEALS = [
     MonomialIdeal.unit(1),
     MonomialIdeal.unit(4),
     MonomialIdeal.zero(1),
@@ -370,7 +396,10 @@ def _six_variable_ideals():
     ideal(4, (EXPONENT_CAP, 0, 2, 1), (0, 0, 2, 5), (7, 0, 2, 3)),
     ideal(3, *WIDE_3),
     ideal(5, *WIDE_5),
-])
+]
+
+
+@pytest.mark.parametrize("I", EDGE_IDEALS)
 def test_divisor_box_planes_on_edge_cases(I):
     if I.nvars == 6:  # planes of many 64-bit words, shifted by more than one
         assert resolution._DivisorBox(I).strides[0] > 64
@@ -379,6 +408,77 @@ def test_divisor_box_planes_on_edge_cases(I):
         assert all(len(set(axis)) == TAYLOR_CAP for axis in zip(*exps))
         assert sum(map(max, zip(*exps))) > 64
     assert_koszul_matches_oracles(I)
+
+
+def taylor_strata(I):
+    """Non-empty generator subsets, as bitmasks in ascending order, grouped
+    by the exponent vector of their lcm."""
+    gens = [g.exponents for g in I.generators]
+    strata = defaultdict(list)
+    for mask in range(1, 1 << len(gens)):
+        members = [e for k, e in enumerate(gens) if mask >> k & 1]
+        strata[tuple(map(max, zip(*members)))].append(mask)
+    return strata
+
+
+def is_cone_stratum(m, gens):
+    """The skipping rule in exponent terms: the lcm m is above the
+    generators' least exponent on some axis, and some generator is strictly
+    below m on every such axis and equal to m on the others."""
+    above = [a > min(axis) for a, axis in zip(m, zip(*gens))]
+    return any(above) and any(
+        all(x < a if up else x == a for x, a, up in zip(e, m, above)) for e in gens
+    )
+
+
+# (x1^2, x1x2x3, x2^2x3^2) in four variables: its degree-4 component has
+# TAYLOR_CAP generators
+CONE_COMPONENT = ideal(4, (2, 0, 0, 0), (1, 1, 1, 0), (0, 2, 2, 0)).component(4)
+
+
+def _cone_corpus():
+    """CONE_COMPONENT, the edge ideals, and seeded equigenerated ideals of
+    2-10 generators in 2-4 variables."""
+    rng = random.Random(1999)
+    corpus = [CONE_COMPONENT, *EDGE_IDEALS]
+    for _ in range(40):
+        n, d = rng.randint(2, 4), rng.randint(2, 4)
+        monomials = list(_degree_d_monomials(n, d))
+        picked = rng.sample(monomials, min(len(monomials), rng.randint(2, 10)))
+        corpus.append(MonomialIdeal(n, picked))
+    return corpus
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
+    homology = resolution._homology
+    computed = []
+
+    def recording(faces, over):
+        computed.append(tuple(faces))
+        return homology(computed[-1], over)
+
+    monkeypatch.setattr(resolution, "_homology", recording)
+    assert len(CONE_COMPONENT) == TAYLOR_CAP
+    skipped = []  # cone strata per ideal
+    for I in _cone_corpus():
+        gens = [g.exponents for g in I.generators]
+        unpruned, kept, cones = {}, set(), 0
+        for m, masks in taylor_strata(I).items():
+            ranks = homology(masks, field)
+            if is_cone_stratum(m, gens):
+                assert not any(ranks.values()), (I, m)
+                cones += 1
+            else:
+                kept.add(tuple(masks))
+            unpruned.update({(size - 1, m): h for size, h in ranks.items() if h})
+        computed.clear()
+        assert taylor_strand_betti(I, field).multigraded == unpruned, I
+        # homology is taken on exactly the strata the rule keeps
+        assert sorted(computed) == sorted(kept), I
+        skipped.append(cones)
+    assert skipped[0] > 0  # CONE_COMPONENT
+    assert sum(map(bool, skipped)) > len(skipped) // 2
 
 
 def test_betti_table_auto_engine_switches():

@@ -8,7 +8,7 @@ import pytest
 from coverideals import search
 from coverideals.errors import CapacityError
 from coverideals.graphs import SimpleGraph, counterexample_graph
-from coverideals.resolution import is_componentwise_linear
+from coverideals.resolution import RATIONALS, is_componentwise_linear
 from coverideals.graphs import cover_ideal
 from coverideals.search import (
     CSV_HEADER,
@@ -22,18 +22,36 @@ from coverideals.search import (
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    vertex_range = r"^vertex range must satisfy 1 <= n_min <= n_max <= 6$"
+    with pytest.raises(ValueError, match=vertex_range):
         SweepConfig(n_min=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=vertex_range):
         SweepConfig(n_min=3, n_max=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=vertex_range):
         SweepConfig(n_max=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=vertex_range):
+        SweepConfig()._replace(n_max=7)
+    with pytest.raises(ValueError, match=r"^t values must lie in 1\.\.6$"):
         SweepConfig(t_set=(7,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^t values must lie in 1\.\.6$"):
         SweepConfig(t_set=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row budget must be >= 0 \(0 means no budget\)$"):
         SweepConfig(row_budget=-1)
+
+
+def test_sweep_records_are_hashable_immutable_values():
+    config = SweepConfig(2, 3, t_set=(1, 2))
+    assert config == SweepConfig(n_min=2, n_max=3, t_set=(1, 2))
+    assert {config: 1}[SweepConfig(2, 3, (1, 2))] == 1
+    assert (config.field, config.row_budget, config.chordal_only) == (
+        RATIONALS, search.ROW_BUDGET, False)
+    record = search.SweepRecord(3, 2, ((1, 2),), True, True, None, 2, 0.5)
+    assert record.status == "ok"
+    assert record == search.SweepRecord(3, 2, ((1, 2),), True, True, None, 2, 0.5, "ok")
+    assert hash(record) == hash(search.SweepRecord(3, 2, ((1, 2),), True, True, None, 2, 0.5))
+    for value, name in ((config, "n_max"), (record, "status")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def test_enumerate_counts():

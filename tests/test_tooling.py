@@ -1,6 +1,8 @@
 import argparse
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +31,25 @@ def test_no_module_imports_signal():
     for path in SOURCES:
         modules = imported_modules(ast.parse(path.read_text(), str(path)))
         assert not {m for m in modules if m.split(".")[0] == "signal"}, path.name
+
+
+def test_no_module_imports_dataclasses():
+    # The records are namedtuples: dataclass creation pulls in inspect, ast
+    # and dis and runs at every import, which the CLI pays on each start.
+    assert SOURCES
+    for path in SOURCES:
+        modules = imported_modules(ast.parse(path.read_text(), str(path)))
+        assert "dataclasses" not in modules, path.name
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S keeps site-packages hooks from importing either on their own
+    probe = ("import sys, coverideals.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_import_is_standard_library():
