@@ -12,10 +12,10 @@ A graph on n vertices (labelled 1..n) turns into ideals of k[x1..xn]:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import EXPONENT_CAP, Monomial, MonomialIdeal, _minimal_exponents, minimalize
 
 SCAN_STATES_CAP = 50_000_000
 
@@ -206,33 +206,45 @@ def minimal_t_covers(G: SimpleGraph, t: int) -> list[tuple[int, ...]]:
     return sorted(minimal)
 
 
-def _edge_prime_power(n: int, u: int, v: int, t: int) -> MonomialIdeal:
-    # <x_u, x_v>^t is generated by x_u^s * x_v^(t-s)
-    gens = []
-    for s in range(t + 1):
-        exps = [0] * n
-        exps[u - 1] = s
-        exps[v - 1] = t - s
-        gens.append(Monomial(exps))
-    return MonomialIdeal(n, gens)
+def _edge_step(gens: list[tuple[int, ...]], u: int, v: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Generators of (gens) intersected with <x_u, x_v>^t, 0-based u and v,
+    not yet minimal.  The lcm of e with x_u^s x_v^(t-s) is e itself when
+    e_u + e_v >= t; otherwise it is divisible by the lcm at s = e_u (for
+    s < e_u) or at s = t - e_v (for s > t - e_v), and in between it is e
+    with (e_u, e_v) replaced by (s, t - s)."""
+    for e in gens:
+        eu, ev = e[u], e[v]
+        if eu + ev >= t:
+            yield e
+            continue
+        for s in range(eu, t - ev + 1):
+            f = list(e)
+            f[u], f[v] = s, t - s
+            yield tuple(f)
 
 
 def cover_ideal(G: SimpleGraph, t: int) -> MonomialIdeal:
     """The intersection of <x_i, x_j>^t over all edges of G.
 
     Its minimal generators are the minimal t-covers.  The intersection is
-    iterated edge by edge, merging edges that share high-numbered vertices
-    last, which scales past the t-cover scan's n <= 8 comfort zone.
+    iterated edge by edge on exponent tuples (``_edge_step``), merging edges
+    that share high-numbered vertices last, which scales past the t-cover
+    scan's n <= 8 comfort zone.  Each step is reduced to its minimal
+    vectors once; ``Monomial`` objects are built for the last step's
+    candidates only, which ``minimalize`` reduces.
     """
     if t < 1:
         raise ValueError("cover order t must be >= 1")
     n = G.nvertices
     if not G.edges:
         return MonomialIdeal.unit(n)
-    result = MonomialIdeal.unit(n)
-    for u, v in sorted(G.edges, key=lambda e: (e[1], e[0])):
-        result = result.intersect(_edge_prime_power(n, u, v, t))
-    return result
+    if t > EXPONENT_CAP:  # before any step, which makes up to t + 1 vectors a generator
+        raise CapacityError(f"exponent {t} exceeds the cap {EXPONENT_CAP}")
+    *edges, (u, v) = sorted(G.edges, key=lambda e: (e[1], e[0]))
+    gens = [(0,) * n]
+    for a, b in edges:
+        gens = _minimal_exponents(_edge_step(gens, a - 1, b - 1, t))
+    return minimalize(n, map(Monomial, _edge_step(gens, u - 1, v - 1, t)))
 
 
 def knt_closed_form(n: int, t: int) -> MonomialIdeal:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from itertools import combinations_with_replacement
 from math import comb
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
@@ -147,21 +148,27 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
     return Monomial(exps)
 
 
+def _minimal_exponents(exponents: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The divisibility-minimal exponent vectors among ``exponents``, once
+    each, in deglex order."""
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(set(exponents), key=_deglex_key):
+        # earlier entries have lower or equal degree, so only they can divide e
+        if not any(all(map(le, k, e)) for k in kept):
+            kept.append(e)
+    return kept
+
+
 def minimalize(nvars: int, monomials: Iterable[Monomial]) -> "MonomialIdeal":
     """Keep only the divisibility-minimal monomials; empty input gives the
     zero ideal."""
-    pool = set()
+    pool = {}
     for m in monomials:
         if m.nvars != nvars:
             raise DimensionError(f"monomial in {m.nvars} variables, expected {nvars}")
-        pool.add(m)
-    ordered = sorted(pool, key=Monomial.deglex_key)
-    kept: list[Monomial] = []
-    for m in ordered:
-        # earlier entries have lower or equal degree, so only they can divide m
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    return MonomialIdeal._from_minimal(nvars, tuple(kept))
+        pool[m.exponents] = m
+    kept = _minimal_exponents(pool)
+    return MonomialIdeal._from_minimal(nvars, tuple(map(pool.__getitem__, kept)))
 
 
 class MonomialIdeal:

@@ -22,8 +22,12 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   Membership and the lattice are bit planes (one int each) over the
   compressed divisor box, which keeps on each axis only the generator
   exponents in its variable, plus 0, and are closed upward by shift-OR
-  sweeps along the axes.  A box past ``BOX_CAP`` cells raises CapacityError
-  before anything is allocated.
+  sweeps along the axes.  The lattice plane is split by support and then
+  by the shifted membership planes, one face pattern at a time, into one
+  part per distinct complex; only points that carry a Betti number are
+  decoded.  A cone is contractible (Hatcher, Algebraic Topology, ch. 0) and
+  never reaches ``_homology``.  A box past ``BOX_CAP`` cells raises
+  CapacityError before anything is allocated.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
 reads them, so no boundary matrix is held whole.  Over Q it ranks every
@@ -44,9 +48,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict, namedtuple
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, product, repeat
 from math import prod
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
@@ -412,10 +416,8 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     lattice = box.member
     for i in range(ideal.nvars):
         lattice &= box.sweep(box.gens, {*range(ideal.nvars)} - {i}) | ~box.up[i]
-    cells = list(compress(range(box.size), box.flags(lattice)))
-    return list(zip(*(
-        [vs[c // s % len(vs)] for c in cells] for vs, s in zip(box.values, box.strides)
-    )))
+    # index order is row-major, the order in which product walks the grid
+    return list(compress(product(*box.values), box.flags(lattice)))
 
 
 def koszul_betti(
@@ -426,39 +428,148 @@ def koszul_betti(
     generators).
 
     beta_{i,a} is the reduced homology in dimension i-1 of the complex
-    {b <= support(a) : x^(a-b) in I} (Miller-Sturmfels, Thm 1.34).  As
-    exponents are grid values, x^(a-b) is in I iff the divisor-box cell one
-    step down every axis of b is in the membership plane.  Points of one
-    support share these steps, so their face bits are gathered in bulk, one
-    ``itemgetter`` pass per face pattern.  Each distinct complex (its face
-    bits) has its homology computed once per call.  Raises CapacityError,
-    before allocating, past ``BOX_CAP`` cells.
+    {b <= support(a) : x^(a-b) in I} (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, Thm 1.34).  As exponents are grid values, x^(a-b)
+    is in I iff the divisor-box cell one step down every axis of b is in
+    the membership plane.
+
+    The points of ``lcm_lattice`` are turned into cells in bulk (axis
+    offsets), which gives one lattice plane, each cell labelled by its
+    exponent tuple; ANDing it with the ``up`` planes or their complements
+    splits it by support.  In a support, face pattern k (a vertex per
+    support axis) is present exactly at the cells of ``member <<
+    steps[k]``, and ``_split_by_complex`` splits the cells by these planes
+    into leaves, one per distinct complex, given as a face bitset (bit k
+    for pattern k).  Each complex has its homology computed once per call.
+
+    A complex in which some vertex v, added to any face lacking it, gives a
+    face (``_is_cone``) is the join of v with the faces lacking v, a cone,
+    so contractible (Hatcher, Algebraic Topology, 2002, ch. 0): its reduced
+    homology vanishes over every field, and it never reaches ``_homology``.
+    The empty face that this needs is always present, as the lattice point
+    lies in I.  Only cells of leaves with homology are decoded.
+
+    Raises CapacityError, before allocating, past ``BOX_CAP`` cells.
     """
     box = _DivisorBox(ideal)
-    member = memoryview(box.flags(box.member))
-    by_support: dict[tuple[bool, ...], list[tuple]] = defaultdict(list)
-    for a in lcm_lattice(ideal):
-        by_support[tuple(map(bool, a))].append(a)
-    homology: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    points = lcm_lattice(ideal)
+    # each point's cell, axis by axis in bulk; the point is the cell's label
+    cells = list(map(sum, zip(*map(map, (o.__getitem__ for o in box.offsets), zip(*points)))))
+    label = dict(zip(cells, points))
+    bits = bytearray(b"0") * box.size
+    for c in cells:
+        bits[c] = 49  # "1"
+    # split the lattice plane by support: on axis i, up[i] holds the cells
+    # off position 0
+    supports = [(int(bits[::-1], 2), ())]
+    for i, up in enumerate(box.up):
+        supports = [
+            (plane, axes)
+            for cells_of, axes0 in supports
+            for plane, axes in ((cells_of & up, axes0 + (i,)), (cells_of & ~up, axes0))
+            if plane
+        ]
+    homology: dict[int, tuple[tuple[int, int], ...]] = {}
+    # the cells of every leaf with the same nonzero homology, as one plane
+    carriers: dict[tuple[tuple[int, int], ...], int] = defaultdict(int)
+    masks: dict[int, tuple[list[int], list[int]]] = {}  # _pattern_masks by vertex count
+    for plane, axes in supports:
+        if len(axes) not in masks:
+            masks[len(axes)] = _pattern_masks(len(axes))
+        without, of_size = masks[len(axes)]
+        strides = [box.strides[i] for i in axes]
+        for leaf, faces in _split_by_complex(plane, box.member, strides, without, of_size):
+            if faces not in homology:
+                if _is_cone(faces, without):
+                    homology[faces] = ()
+                else:
+                    ranks = _homology(_set_bits(faces), field)
+                    homology[faces] = tuple((i, r) for i, r in ranks.items() if r)
+            if homology[faces]:
+                carriers[homology[faces]] |= leaf
     multigraded: dict[tuple, int] = {}
-    for support, points in by_support.items():
-        # steps[k]: index distance one step down every support axis in pattern k
-        steps = [0]
-        for s in compress(box.strides, support):
-            steps += [d + s for d in steps]
-        low = steps[-1]  # to the lowest cell any face reads
-        gather = itemgetter(*[box.index(a) - low for a in points])
-        columns = [gather(member[low - d:]) for d in steps]
-        # itemgetter of one index returns the bare item, not a 1-tuple
-        keys = zip(*columns) if points[1:] else [tuple(columns)]
-        for a, key in zip(points, keys):
-            if key not in homology:
-                ranks = _homology([k for k, bit in enumerate(key) if bit], field)
-                homology[key] = [(i, r) for i, r in ranks.items() if r]
-            # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
-            for i, r in homology[key]:
-                multigraded[(i, a)] = r
+    for ranks, plane in carriers.items():
+        carried = list(map(label.__getitem__, _set_bits(plane)))
+        # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
+        for i, r in ranks:
+            multigraded.update(zip(zip(repeat(i), carried), repeat(r)))
     return BettiTable(ideal.nvars, field, multigraded)
+
+
+def _set_bits(plane: int) -> Iterator[int]:
+    """The set bits of an int, ascending; ``find`` skips the zeros in C."""
+    bits = format(plane, "b")[::-1]
+    idx = bits.find("1")
+    while idx >= 0:
+        yield idx
+        idx = bits.find("1", idx + 1)
+
+
+def _pattern_masks(m: int) -> tuple[list[int], list[int]]:
+    """Sets of face patterns (vertex sets) on m vertices, with bit k for
+    pattern k: ``without[v]`` lacks vertex v, ``of_size[s]`` has s."""
+    without = [int(("0" * (1 << v) + "1" * (1 << v)) * (1 << (m - v - 1)), 2) for v in range(m)]
+    of_size = [1]
+    for v in range(m):  # the patterns holding v are those below 2^v, shifted by 2^v
+        of_size = [a | b << (1 << v) for a, b in zip(of_size + [0], [0] + of_size)]
+    return without, of_size
+
+
+def _split_by_complex(
+    plane: int, member: int, strides: list[int], without: list[int], of_size: list[int]
+) -> list[tuple[int, int]]:
+    """Split the cells of one support (its axes' strides given) into
+    (cells, faces) leaves, one per distinct upper Koszul complex.  Patterns
+    are tried by size, each only in leaves holding every pattern one vertex
+    smaller, as the complex is closed under subsets: pattern k passes the
+    mask for vertex v unless it holds v and k without v is missing."""
+    steps = [0]
+    for s in strides:
+        steps += [d + s for d in steps]
+    shifted: dict[int, int] = {}  # member << steps[k], as the patterns are tried
+    leaves = [(plane, 1)]
+    for size in range(1, len(strides) + 1):
+        grown = []
+        for cells, faces in leaves:
+            todo = of_size[size]
+            for v, w in enumerate(without):
+                todo &= ((faces & w) << (1 << v)) | w
+            parts = [(cells, faces)]
+            common = 0  # the faces every part gains
+            while todo:
+                low = todo & -todo  # bit k of a face mask: pattern k
+                todo ^= low
+                k = low.bit_length() - 1
+                if k not in shifted:
+                    shifted[k] = member << steps[k]
+                hit = cells & shifted[k]
+                if hit == cells:
+                    common |= low
+                elif hit:
+                    split = []
+                    for part, has in parts:
+                        inside = part & hit
+                        if inside:
+                            split.append((inside, has | low))
+                            part ^= inside
+                        if part:
+                            split.append((part, has))
+                    parts = split
+            grown += [(part, has | common) for part, has in parts]
+        if grown == leaves:
+            break  # no face of this size, so none larger
+        leaves = grown
+    return leaves
+
+
+def _is_cone(faces: int, without: list[int]) -> bool:
+    """Does ``faces`` hold the empty face and a vertex v that, added to any
+    face lacking it, gives a face?  Shifting patterns by 1 << v adds v.  A
+    family holding the empty set and each set between two members is a
+    simplicial complex, and then a cone with apex v."""
+    return bool(faces & 1) and any(
+        ((faces & w) << (1 << v)) & ~faces == 0 for v, w in enumerate(without)
+    )
 
 
 def betti_table(

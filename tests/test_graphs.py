@@ -1,6 +1,9 @@
-import pytest
+import random
 from itertools import combinations, permutations
 
+import pytest
+
+from coverideals import search
 from coverideals.errors import CapacityError
 from coverideals.graphs import (
     SimpleGraph,
@@ -14,7 +17,7 @@ from coverideals.graphs import (
     parse_graph,
     theorem_order,
 )
-from coverideals.monomials import Monomial, MonomialIdeal
+from coverideals.monomials import Monomial, MonomialIdeal, _deglex_key
 
 
 def scan_ideal(G, t):
@@ -192,11 +195,26 @@ def test_capping_above_t_is_lossless():
                 )
 
 
+def _agreement_graphs():
+    """One graph per isomorphism class on 1-6 vertices, then 20 seeded graphs
+    on 7 vertices."""
+    for n in range(1, 7):
+        slots = search._edge_slots(n)
+        for least in sorted(set(search._least_in_orbit(n))):
+            yield search._graph_from_mask(n, least, slots)
+    rng = random.Random(7)
+    pairs = list(combinations(range(1, 8), 2))
+    for _ in range(20):
+        yield SimpleGraph(7, [e for e in pairs if rng.random() < 0.4])
+
+
 def test_t_cover_methods_agree():
-    for t in (1, 2, 3):
-        for G in (counterexample_graph(), complete_graph(4)):
-            intersection = sorted(g.exponents for g in cover_ideal(G, t))
-            assert minimal_t_covers(G, t) == intersection
+    # the intersection lists its generators in deglex order, and they must
+    # be the scan's minimal t-covers in that order
+    for G in _agreement_graphs():
+        for t in (1, 2, 3):
+            generators = tuple(g.exponents for g in cover_ideal(G, t).generators)
+            assert generators == tuple(sorted(minimal_t_covers(G, t), key=_deglex_key)), (G, t)
 
 
 def test_scan_capacity_guard():

@@ -481,6 +481,106 @@ def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
     assert sum(map(bool, skipped)) > len(skipped) // 2
 
 
+# the degree components of J_{K5}(3); its check computes Betti numbers on
+# degrees 9 and 12
+K5_T3_COMPONENTS = [cover_ideal(complete_graph(5), 3).component(d) for d in range(9, 13)]
+
+
+def _members(faces):
+    """The patterns (vertex sets as bitmasks) in a face bitset."""
+    return [k for k in range(faces.bit_length()) if faces >> k & 1]
+
+
+def is_cone_family(members, m):
+    """Brute force in set terms: the empty set is a member, and some vertex
+    v < m joins every member to a member."""
+    held = set(members)
+    return 0 in held and any(all(k | 1 << v in held for k in held) for v in range(m))
+
+
+def unscreened_koszul(I, field, homology):
+    """beta_{i,a} from the upper Koszul complex at every lcm-lattice point,
+    with membership by divisibility and every complex handed to
+    ``homology``: no plane split, no memo, no screen."""
+    gens = [g.exponents for g in I.generators]
+    member = {}
+    table = {}
+    for a in lcm_lattice(I):
+        support = [k for k, e in enumerate(a) if e]
+        faces = []
+        for mask in range(1 << len(support)):
+            c = list(a)
+            for j, k in enumerate(support):
+                c[k] -= mask >> j & 1
+            c = tuple(c)
+            if c not in member:
+                member[c] = any(all(map(int.__le__, g, c)) for g in gens)
+            if member[c]:
+                faces.append(mask)
+        table.update({(size, a): h for size, h in homology(faces, field).items() if h})
+    return table
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+def test_koszul_cone_screen_is_sound(monkeypatch, field):
+    homology, is_cone = resolution._homology, resolution._is_cone
+    screened, tested, computed = [], [], []
+
+    def recording_screen(faces, without):
+        cone = is_cone(faces, without)
+        tested.append((faces, len(without), cone))
+        if cone:
+            screened.append((faces, len(without)))
+        return cone
+
+    def recording_homology(faces, over):
+        computed.append(tuple(faces))
+        return homology(computed[-1], over)
+
+    monkeypatch.setattr(resolution, "_is_cone", recording_screen)
+    monkeypatch.setattr(resolution, "_homology", recording_homology)
+    corpus = [*_cone_corpus(), projective_plane_ideal(), *K5_T3_COMPONENTS]
+    fired = []
+    for I in corpus:
+        screened.clear()
+        computed.clear()
+        table = koszul_betti(I, field)
+        # a screened complex is a cone, holds the empty face, has no
+        # homology, and never reaches the homology routine
+        for faces, m in screened:
+            assert is_cone_family(_members(faces), m), (I, faces)
+            assert not any(homology(_members(faces), field).values()), (I, faces)
+            assert tuple(_members(faces)) not in computed, (I, faces)
+        fired.append(len(screened))
+        assert table.multigraded == unscreened_koszul(I, field, homology), I
+        if len(I) <= TAYLOR_CAP:
+            assert table == taylor_strand_betti(I, field), I
+    # the screen flags exactly the cones among the complexes it is shown
+    assert all(cone == is_cone_family(_members(f), m) for f, m, cone in tested)
+    # it fires on the degree-12 component, where Betti numbers are computed
+    assert fired[-1] > 0
+    if field == F2:
+        degree_12 = K5_T3_COMPONENTS[-1]
+        assert koszul_betti(degree_12, F2).multigraded == reference_betti_f2(
+            degree_12, lcm_lattice(degree_12)
+        )
+    # every family on at most 3 vertices that holds each set between two of
+    # its members (a chain complex for ``_homology``), the empty face or not
+    for m in range(4):
+        without, _ = resolution._pattern_masks(m)
+        for faces in range(1 << (1 << m)):
+            members = _members(faces)
+            if not all(
+                faces >> j & 1
+                for a in members for b in members if a & b == a
+                for j in range(1 << m) if a & j == a and j & b == j
+            ):
+                continue
+            assert is_cone(faces, without) == is_cone_family(members, m), (m, members)
+            if is_cone(faces, without):
+                assert not any(homology(members, field).values()), (m, members)
+
+
 def test_betti_table_auto_engine_switches():
     small = cover_ideal(complete_graph(4), 2).component(6)
     assert len(small) == TAYLOR_CAP
@@ -542,9 +642,9 @@ def test_projective_plane_homology_depends_on_field():
     assert simplicial_homology_ranks(faces, F2) == [0, 0, 1, 1]
 
 
-def test_projective_plane_ideal_betti_depends_on_field():
-    # the non-face ideal of the 6-vertex projective plane: linear over Q,
-    # extra syzygies in characteristic 2; engines must agree within each field
+def projective_plane_ideal():
+    """The squarefree monomials of the 3-sets that are not faces of the
+    6-vertex projective plane."""
     face_set = set()
     for t in PROJECTIVE_PLANE_TRIANGLES:
         for r in (1, 2, 3):
@@ -556,7 +656,13 @@ def test_projective_plane_ideal_betti_depends_on_field():
             for v in t:
                 e[v - 1] = 1
             gens.append(Monomial(e))
-    I = MonomialIdeal(6, gens)
+    return MonomialIdeal(6, gens)
+
+
+def test_projective_plane_ideal_betti_depends_on_field():
+    # the non-face ideal of the 6-vertex projective plane: linear over Q,
+    # extra syzygies in characteristic 2; engines must agree within each field
+    I = projective_plane_ideal()
     assert len(I) == 10
     tQ = taylor_strand_betti(I, RATIONALS)
     t2 = taylor_strand_betti(I, F2)
