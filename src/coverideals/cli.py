@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import textwrap
+from typing import Optional
 
 from .errors import CapacityError, DimensionError, NotEquigeneratedError
 from .graphs import (
@@ -294,15 +295,7 @@ def _cmd_search(args) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="coverideals",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gens", help="minimal generators of the cover ideal")
+def _configure_gens(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p, with_ideal=False)
     p.add_argument(
         "--closed-form",
@@ -312,14 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_gens)
 
-    p = sub.add_parser("check-cwl", help="componentwise linearity verdict")
+
+def _configure_check_cwl(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p, with_ideal=True)
     p.add_argument("--engine", choices=("auto", "taylor", "koszul"), default="auto")
     _add_field(p)
     _add_format(p)
     p.set_defaults(func=_cmd_check_cwl)
 
-    p = sub.add_parser("betti", help="Betti tables")
+
+def _configure_betti(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p, with_ideal=True)
     p.add_argument("--component", type=int, metavar="D", help="restrict to degree D")
     p.add_argument("--multigraded", action="store_true", help="include multidegrees")
@@ -328,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("quotients", help="linear-quotients certificate")
+
+def _configure_quotients(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p, with_ideal=True)
     p.add_argument(
         "--order",
@@ -339,13 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_quotients)
 
-    p = sub.add_parser("polymatroidal", help="exchange condition per component")
+
+def _configure_polymatroidal(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p, with_ideal=True)
     p.add_argument("--component", type=int, metavar="D", help="single degree D")
     _add_format(p)
     p.set_defaults(func=_cmd_polymatroidal)
 
-    p = sub.add_parser("search", help="sweep graphs and report verdicts")
+
+def _configure_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="single vertex count")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=4)
@@ -366,11 +364,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, formats=("jsonl", "json", "csv"))  # json means jsonl
     p.set_defaults(func=_cmd_search)
 
+
+# (name, help, configure) per subcommand
+_COMMANDS = (
+    ("gens", "minimal generators of the cover ideal", _configure_gens),
+    ("check-cwl", "componentwise linearity verdict", _configure_check_cwl),
+    ("betti", "Betti tables", _configure_betti),
+    ("quotients", "linear-quotients certificate", _configure_quotients),
+    ("polymatroidal", "exchange condition per component", _configure_polymatroidal),
+    ("search", "sweep graphs and report verdicts", _configure_search),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the options of only ``command``
+    when it is given (of none when it names no subcommand): an unconfigured
+    subparser still lists its name and help, and adding options (``-h``
+    too) is most of the cost of a parser."""
+    parser = _Parser(
+        prog="coverideals",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, configure in _COMMANDS:
+        configured = command in (None, name)
+        p = sub.add_parser(name, help=help_text, add_help=configured)
+        if configured:
+            configure(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option that takes a value, so the first
+    # argument that names a command is the one argparse dispatches to
+    names = [name for name, _, _ in _COMMANDS]
+    parser = build_parser(next((a for a in argv if a in names), ""))
     try:
         try:
             args = parser.parse_args(argv)

@@ -26,7 +26,12 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   by the shifted membership planes, one face pattern at a time, into one
   part per distinct complex; only points that carry a Betti number are
   decoded.  A cone is contractible (Hatcher, Algebraic Topology, ch. 0) and
-  never reaches ``_homology``.  A box past ``BOX_CAP`` cells raises
+  never reaches ``_homology``.  Variables that can be swapped without
+  changing the generators (twins, such as all n vertices of K_n in
+  J_{K_n}(t)) give lattice points with equal Betti numbers, so complexes
+  are built at one point per orbit of the swaps, the one whose positions do
+  not decrease along each twin class, and the Betti numbers found there are
+  copied to the rest of the orbit.  A box past ``BOX_CAP`` cells raises
   CapacityError before anything is allocated.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
@@ -50,7 +55,7 @@ from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from itertools import combinations, compress, islice, product, repeat
 from math import prod
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
@@ -391,6 +396,15 @@ class _DivisorBox:
         """Index of the cell of an exponent vector made of grid values."""
         return sum(map(getitem, self.offsets, exps))
 
+    def at_least(self, i: int) -> list[int]:
+        """Planes of the cells at position k or above on axis i, for k = 1,
+        2, ...: ``up[i]``, then each plane shifted one step up the axis."""
+        s, up = self.strides[i], self.up[i]
+        planes = [up]
+        for _ in range(len(self.values[i]) - 2):
+            planes.append((planes[-1] << s) & up)
+        return planes
+
     def sweep(self, plane: int, axes: Iterable[int]) -> int:
         """Close a plane upward along the given axes.  A shift by axis i's
         stride moves every cell one step up that axis; ``up[i]`` drops the
@@ -449,6 +463,21 @@ def koszul_betti(
     The empty face that this needs is always present, as the lattice point
     lies in I.  Only cells of leaves with homology are decoded.
 
+    Variables x_i and x_j are twins when swapping them maps the minimal
+    generators onto themselves (``_twin_classes``).  Such a swap fixes I, so
+    it maps the complex at a onto the complex at the swapped point, with the
+    vertices renamed, and the two carry the same Betti numbers; the swaps
+    generate the product of the symmetric groups on the twin classes.  Twin
+    axes have the same grid values, so each orbit of lattice points has
+    exactly one cell whose positions do not decrease along every class.
+    These cells are one more plane, built from ``at_least`` and ANDed into
+    the lattice plane before the support split, so complexes are found and
+    screened and homology is taken at one point per orbit only.  Each
+    representative that carries a Betti number is expanded to its distinct
+    rearrangements within the classes (``_rearrangements``) before the
+    table is built.  Without twins every class is one variable and the
+    domain is the whole plane.
+
     Raises CapacityError, before allocating, past ``BOX_CAP`` cells.
     """
     box = _DivisorBox(ideal)
@@ -459,9 +488,18 @@ def koszul_betti(
     bits = bytearray(b"0") * box.size
     for c in cells:
         bits[c] = 49  # "1"
+    lattice = int(bits[::-1], 2)
+    # one point per orbit: positions nondecreasing along each twin class,
+    # i.e. for consecutive twins i < j, position >= k on axis i implies it
+    # on axis j
+    classes = _twin_classes(ideal)
+    twins = [(i, j) for cls in classes for i, j in zip(cls, cls[1:])]
+    for i, j in twins:
+        for on_i, on_j in zip(box.at_least(i), box.at_least(j)):
+            lattice &= ~on_i | on_j
     # split the lattice plane by support: on axis i, up[i] holds the cells
     # off position 0
-    supports = [(int(bits[::-1], 2), ())]
+    supports = [(lattice, ())]
     for i, up in enumerate(box.up):
         supports = [
             (plane, axes)
@@ -488,12 +526,90 @@ def koszul_betti(
             if homology[faces]:
                 carriers[homology[faces]] |= leaf
     multigraded: dict[tuple, int] = {}
+    orbits: dict[tuple[bool, ...], list] = {}  # _rearrangements by equal twins
     for ranks, plane in carriers.items():
-        carried = list(map(label.__getitem__, _set_bits(plane)))
+        carried = []
+        for a in map(label.__getitem__, _set_bits(plane)):
+            equal = tuple(a[i] == a[j] for i, j in twins)
+            if equal not in orbits:
+                orbits[equal] = _rearrangements(classes, equal)
+            carried += [get(a) for get in orbits[equal]]
         # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
         for i, r in ranks:
             multigraded.update(zip(zip(repeat(i), carried), repeat(r)))
     return BettiTable(ideal.nvars, field, multigraded)
+
+
+def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:
+    """The variables split into twin classes, each ascending: x_i and x_j
+    are twins when swapping their exponents maps the minimal generators
+    onto themselves.  A swap is tried only between exponent columns that
+    hold the same values, and only against the first member of a class, as
+    twinness is transitive ((i k) = (i j)(j k)(i j))."""
+    n = ideal.nvars
+    exps = [g.exponents for g in ideal.generators]
+    gens = set(exps)
+    columns = list(map(sorted, zip(*exps))) or [[]] * n
+    classes: list[list[int]] = []
+    for j, column in enumerate(columns):
+        for cls in classes:
+            i = cls[0]
+            if column != columns[i]:
+                continue
+            swap = list(range(n))
+            swap[i], swap[j] = j, i
+            if gens.issuperset(map(itemgetter(*swap), exps)):
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return classes
+
+
+def _rearrangements(classes: list[list[int]], equal: tuple[bool, ...]) -> list:
+    """Getters of the distinct rearrangements, within each twin class, of a
+    point whose values do not decrease along any class; ``equal`` flags the
+    consecutive twins whose values agree.  Twins with equal values are
+    interchangeable, so a getter reads each class position from the first
+    twin of a run of equal values, and the getters of a class are the
+    distinct orders of those first twins, each made once."""
+    identity = list(range(sum(map(len, classes))))
+    maps = [identity]
+    flags = iter(equal)
+    for cls in classes:
+        heads = cls[:1]
+        for v in cls[1:]:
+            heads.append(heads[-1] if next(flags) else v)
+        grown = []
+        for m in maps:
+            for order in _distinct_orders(heads):
+                arranged = m[:]
+                for d, h in zip(cls, order):
+                    arranged[d] = h
+                grown.append(arranged)
+        maps = grown
+    # a tuple is its own identity; itemgetter of one index gives no tuple
+    return [tuple if m == identity else itemgetter(*m) for m in maps]
+
+
+def _distinct_orders(word: list[int]) -> list[tuple[int, ...]]:
+    """The distinct orders of a nondecreasing list, in lexicographic order:
+    each is the one before with the shortest suffix that has a larger order
+    replaced by the least such order (Knuth, TAOCP 4A, Algorithm 7.2.1.2L)."""
+    w = list(word)
+    orders = [tuple(w)]
+    while True:
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return orders
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
+        orders.append(tuple(w))
 
 
 def _set_bits(plane: int) -> Iterator[int]:

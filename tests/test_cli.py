@@ -384,6 +384,33 @@ def test_usage_error_exit_code(capsys):
         assert code == 2, command
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name, _, _ in cli._COMMANDS),
+        [],
+        ["bogus"],
+        ["gens"],
+        ["betti", "--complete", "3", "--bogus"],
+        ["-h", "search"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_parser_of_one_command_writes_what_the_full_parser_writes(capsys, argv):
+    # main configures only the subcommand it dispatches to; help and usage
+    # errors must come out byte for byte as from the parser of every command
+    code = main(argv)
+    partial = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert code == exc.value.code
+    assert partial.out.encode() == full.out.encode()
+    assert partial.err.encode() == full.err.encode()
+    assert partial.out or partial.err
+
+
 GENS_K12 = ["gens", "--complete", "12", "--t", "5"]
 
 

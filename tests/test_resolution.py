@@ -1,6 +1,6 @@
 import random
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, compress, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -501,23 +501,33 @@ def is_cone_family(members, m):
 def unscreened_koszul(I, field, homology):
     """beta_{i,a} from the upper Koszul complex at every lcm-lattice point,
     with membership by divisibility and every complex handed to
-    ``homology``: no plane split, no memo, no screen."""
+    ``homology``: no plane split, no memo, no screen, no symmetry.
+
+    ``below[k][v]`` is the set of generators (a bitmask) with exponent at
+    most v in x_k, so the generators dividing a monomial are the AND of its
+    exponents' sets.  A point keeps the ANDs of the point before over the
+    axes before the first one where the two differ (lcm_lattice is sorted,
+    so most axes are shared)."""
     gens = [g.exponents for g in I.generators]
-    member = {}
+    below = [
+        [sum(1 << j for j, e in enumerate(gens) if e[k] <= v) for v in range(max(column) + 1)]
+        for k, column in enumerate(zip(*gens))
+    ]
+    # divisors[k]: per face pattern on the support axes before k, the
+    # generators dividing the point one step down each axis of the pattern
+    divisors = [[(1 << len(gens)) - 1]]
+    last = ()
     table = {}
     for a in lcm_lattice(I):
-        support = [k for k, e in enumerate(a) if e]
-        faces = []
-        for mask in range(1 << len(support)):
-            c = list(a)
-            for j, k in enumerate(support):
-                c[k] -= mask >> j & 1
-            c = tuple(c)
-            if c not in member:
-                member[c] = any(all(map(int.__le__, g, c)) for g in gens)
-            if member[c]:
-                faces.append(mask)
+        start = next((k for k, (x, y) in enumerate(zip(a, last)) if x != y), len(last))
+        del divisors[start + 1:]
+        for k in range(start, len(a)):
+            kept, e = divisors[k], a[k]
+            stepped = [d & below[k][e - 1] for d in kept] if e else []
+            divisors.append([d & below[k][e] for d in kept] + stepped)
+        faces = tuple(compress(range(len(divisors[-1])), divisors[-1]))
         table.update({(size, a): h for size, h in homology(faces, field).items() if h})
+        last = a
     return table
 
 
@@ -581,6 +591,89 @@ def test_koszul_cone_screen_is_sound(monkeypatch, field):
                 assert not any(homology(members, field).values()), (m, members)
 
 
+def test_twin_classes():
+    twin_classes = resolution._twin_classes
+    for n in range(2, 6):
+        for t in (1, 2, 3):
+            assert twin_classes(cover_ideal(complete_graph(n), t)) == [list(range(n))]
+    # the five leaves of the star, not its centre
+    assert twin_classes(cover_ideal(STAR_K15, 2)) == [[0], [1, 2, 3, 4, 5]]
+    # swapping does nothing to the unit ideal and has no generator to move
+    # in the zero ideal
+    assert twin_classes(MonomialIdeal.unit(3)) == [[0, 1, 2]]
+    assert twin_classes(MonomialIdeal.zero(3)) == [[0, 1, 2]]
+    # every column holds 0, 1, 2, but only the cyclic shift fixes the
+    # generators, and no swap does
+    cyclic = ideal(3, (1, 2, 0), (2, 0, 1), (0, 1, 2))
+    assert twin_classes(cyclic) == [[0], [1], [2]]
+    # classes need not be runs of variables
+    assert twin_classes(ideal(4, (2, 1, 0, 0), (0, 1, 2, 0), (1, 0, 1, 3))) == [[0, 2], [1], [3]]
+    for I in (MonomialIdeal.unit(3), MonomialIdeal.zero(3), cyclic):
+        assert koszul_betti(I).multigraded == unscreened_koszul(I, RATIONALS, resolution._homology)
+
+
+def _symmetric_ideals(count=40):
+    """Seeded ideals in 2-5 variables closed under permuting the exponents
+    within random blocks of variables, so that each block lies in a twin
+    class; blocks need not be runs of variables."""
+    rng = random.Random(1616)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        gens = set()
+        for _ in range(rng.randint(1, 3)):
+            e = [rng.randint(0, 2) for _ in range(n)]
+            for images in product(*(permutations(block) for block in blocks)):
+                f = e[:]
+                for block, image in zip(blocks, images):
+                    for src, dst in zip(block, image):
+                        f[dst] = e[src]
+                gens.add(tuple(f))
+        out.append(MonomialIdeal(n, [Monomial(f) for f in gens]))
+    return out
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
+    # Homology is taken at one lattice point per orbit of the twin swaps;
+    # the table must equal the one from every point's own complex.
+    homology = resolution._homology
+    corpus = [*EDGE_IDEALS, projective_plane_ideal(), *_symmetric_ideals()]
+    for J in _graph_class_ideals():
+        corpus += [J.component(d) for d in range(J.min_degree(), J.max_degree() + 1)]
+    seen = {}  # the reference's complexes recur from point to point
+
+    def recalled(faces, over):
+        key = tuple(faces)
+        if key not in seen:
+            seen[key] = homology(key, over)
+        return seen[key]
+
+    reduced = 0
+    for I in corpus:
+        reduced += len(resolution._twin_classes(I)) < I.nvars
+        assert koszul_betti(I, field).multigraded == unscreened_koszul(I, field, recalled), I
+    assert reduced > len(corpus) // 2
+    # on the degree-12 component of J_{K5}(3) the reduction takes homology
+    # of fewer complexes than the same engine with every variable alone
+    degree_12 = K5_T3_COMPONENTS[-1]
+    calls = []
+
+    def counting(faces, over):
+        calls.append(faces)
+        return homology(faces, over)
+
+    monkeypatch.setattr(resolution, "_homology", counting)
+    table = koszul_betti(degree_12, field)
+    twin_calls = len(calls)
+    monkeypatch.setattr(resolution, "_twin_classes", lambda I: [[i] for i in range(I.nvars)])
+    assert koszul_betti(degree_12, field) == table
+    assert 0 < twin_calls < len(calls) - twin_calls
+
+
 def test_betti_table_auto_engine_switches():
     small = cover_ideal(complete_graph(4), 2).component(6)
     assert len(small) == TAYLOR_CAP
@@ -606,13 +699,14 @@ def test_permutation_equivariance():
                 for g in I.generators
             ],
         )
-        tI, tJ = taylor_strand_betti(I), taylor_strand_betti(J)
-        mapped = {
-            (i, tuple(a[perm[k]] for k in range(n))): r
-            for (i, a), r in tI.multigraded.items()
-        }
-        assert mapped == tJ.multigraded
-        assert tI.coarse == tJ.coarse
+        for engine in (taylor_strand_betti, koszul_betti):
+            tI, tJ = engine(I), engine(J)
+            mapped = {
+                (i, tuple(a[perm[k]] for k in range(n))): r
+                for (i, a), r in tI.multigraded.items()
+            }
+            assert mapped == tJ.multigraded
+            assert tI.coarse == tJ.coarse
 
 
 def test_rationals_vs_f2_on_reference_corpus():
