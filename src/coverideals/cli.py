@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import textwrap
-from typing import Optional
 
 from .errors import CapacityError, DimensionError, NotEquigeneratedError
 from .graphs import (
@@ -163,9 +162,9 @@ def _cmd_betti(args) -> int:
         ideal = ideal.component(args.component)
     table = betti_table(ideal, field, engine=args.engine)
     if args.format == "json":
-        out = table.to_json_dict()
-        if not args.multigraded:
-            del out["multigraded"]
+        # the multigraded entries of a Koszul table are expanded only if read
+        out = table.to_json_dict() if args.multigraded else {
+            "field": field.label, "coarse": [list(e) for e in table.coarse_entries()]}
         print(json.dumps(out, sort_keys=True))
     else:
         print(f"coarse Betti numbers over {field.label}:")
@@ -376,11 +375,7 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the options of only ``command``
-    when it is given (of none when it names no subcommand): an unconfigured
-    subparser still lists its name and help, and adding options (``-h``
-    too) is most of the cost of a parser."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="coverideals",
         description=__doc__,
@@ -388,22 +383,29 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, configure in _COMMANDS:
-        configured = command in (None, name)
-        p = sub.add_parser(name, help=help_text, add_help=configured)
-        if configured:
-            configure(p)
+        configure(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with a parser of only the command ``argv[0]`` names, if any: under
+    its subparser's prog it writes the same help and errors, but for unknown
+    arguments, which the full parser reports, as it parses every other argv."""
+    for name, _, configure in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = _Parser(prog=f"coverideals {name}")
+            configure(parser)
+            args, unknown = parser.parse_known_args(argv[1:])
+            if not unknown:
+                return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser has no option that takes a value, so the first
-    # argument that names a command is the one argparse dispatches to
-    names = [name for name, _, _ in _COMMANDS]
-    parser = build_parser(next((a for a in argv if a in names), ""))
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:
             status = exc.code if isinstance(exc.code, int) else 2
         else:

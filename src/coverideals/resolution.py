@@ -30,9 +30,10 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   changing the generators (twins, such as all n vertices of K_n in
   J_{K_n}(t)) give lattice points with equal Betti numbers, so complexes
   are built at one point per orbit of the swaps, the one whose positions do
-  not decrease along each twin class, and the Betti numbers found there are
-  copied to the rest of the orbit.  A box past ``BOX_CAP`` cells raises
-  CapacityError before anything is allocated.
+  not decrease along each twin class; the rest of an orbit is listed only
+  if the multigraded entries are read, as the coarse ones need only its
+  size.  A box past ``BOX_CAP`` cells raises CapacityError before anything
+  is allocated.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
 reads them, so no boundary matrix is held whole.  Over Q it ranks every
@@ -52,9 +53,9 @@ layered on top.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict, namedtuple
-from itertools import combinations, compress, islice, product, repeat
-from math import prod
+from collections import Counter, defaultdict, namedtuple
+from itertools import combinations, compress, islice, product
+from math import factorial, prod
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -118,18 +119,48 @@ class BettiTable:
 
     ``multigraded`` maps (homological index i, exponent tuple) to a positive
     rank; ``coarse`` maps (i, total degree) to the sum over multidegrees.
+    A ``koszul_betti`` table holds one point per twin orbit (``_of_orbits``)
+    and expands ``multigraded`` from them when it is first read.
     """
 
-    __slots__ = ("nvars", "field", "multigraded", "coarse")
+    __slots__ = ("nvars", "field", "coarse", "_multigraded", "_orbits")
 
     def __init__(self, nvars: int, field: FieldChoice, multigraded: dict):
         self.nvars = nvars
         self.field = field
-        self.multigraded = {k: r for k, r in multigraded.items() if r}
-        coarse: dict[tuple[int, int], int] = defaultdict(int)
-        for (i, a), r in self.multigraded.items():
-            coarse[(i, sum(a))] += r
-        self.coarse = dict(coarse)
+        self._multigraded = multigraded
+        self.coarse: dict[tuple[int, int], int] = {}
+        for (i, a), r in multigraded.items():
+            self.coarse[(i, sum(a))] = self.coarse.get((i, sum(a)), 0) + r
+
+    @classmethod
+    def _of_orbits(cls, nvars: int, field: FieldChoice, classes: list[list[int]],
+                   orbits: dict) -> BettiTable:
+        """Every point of the orbit of a representative in ``orbits``, lists of
+        (representative, ranks) by pattern of equal consecutive twins, has
+        beta_{i,a} = r for (i, r) in ranks."""
+        table = cls(nvars, field, {})
+        table._multigraded, table._orbits = None, (classes, orbits)
+        for carried in orbits.values():
+            # the orbit's size, the same for every point of a pattern, is its
+            # number of distinct rearrangements within each twin class
+            counts = [Counter(carried[0][0][i] for i in c).values() for c in classes]
+            size = prod(factorial(sum(n)) // prod(map(factorial, n)) for n in counts)
+            for a, ranks in carried:
+                for i, r in ranks:
+                    table.coarse[(i, sum(a))] = table.coarse.get((i, sum(a)), 0) + r * size
+        return table
+
+    @property
+    def multigraded(self) -> dict:
+        if self._multigraded is None:
+            classes, orbits = self._orbits
+            self._multigraded = {
+                (i, get(a)): r for equal, carried in orbits.items()
+                for get in _rearrangements(classes, equal)
+                for a, ranks in carried for i, r in ranks
+            }
+        return self._multigraded
 
     def coarse_entries(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, r) for (i, j), r in self.coarse.items())
@@ -448,13 +479,12 @@ def koszul_betti(
     the membership plane.
 
     The points of ``lcm_lattice`` are turned into cells in bulk (axis
-    offsets), which gives one lattice plane, each cell labelled by its
-    exponent tuple; ANDing it with the ``up`` planes or their complements
-    splits it by support.  In a support, face pattern k (a vertex per
-    support axis) is present exactly at the cells of ``member <<
-    steps[k]``, and ``_split_by_complex`` splits the cells by these planes
-    into leaves, one per distinct complex, given as a face bitset (bit k
-    for pattern k).  Each complex has its homology computed once per call.
+    offsets), which gives one lattice plane; ANDing it with the ``up``
+    planes or their complements splits it by support.  In a support, face
+    pattern k (a vertex per support axis) is present exactly at the cells of
+    ``member << steps[k]``, and ``_split_by_complex`` splits the cells by
+    these planes into leaves, one per distinct complex, given as a face
+    bitset (bit k for pattern k), whose homology is computed once per call.
 
     A complex in which some vertex v, added to any face lacking it, gives a
     face (``_is_cone``) is the join of v with the faces lacking v, a cone,
@@ -472,19 +502,19 @@ def koszul_betti(
     exactly one cell whose positions do not decrease along every class.
     These cells are one more plane, built from ``at_least`` and ANDed into
     the lattice plane before the support split, so complexes are found and
-    screened and homology is taken at one point per orbit only.  Each
-    representative that carries a Betti number is expanded to its distinct
-    rearrangements within the classes (``_rearrangements``) before the
-    table is built.  Without twins every class is one variable and the
-    domain is the whole plane.
+    screened and homology is taken at one point per orbit only.  The table
+    keeps each representative that carries a Betti number with its ranks;
+    coarse entries weigh them by orbit size, all a linearity verdict reads,
+    and their rearrangements within the classes (``_rearrangements``) are
+    built only when the multigraded entries are read.  Without twins every
+    class is one variable and the domain is the whole plane.
 
     Raises CapacityError, before allocating, past ``BOX_CAP`` cells.
     """
     box = _DivisorBox(ideal)
     points = lcm_lattice(ideal)
-    # each point's cell, axis by axis in bulk; the point is the cell's label
+    # each point's cell, axis by axis in bulk
     cells = list(map(sum, zip(*map(map, (o.__getitem__ for o in box.offsets), zip(*points)))))
-    label = dict(zip(cells, points))
     bits = bytearray(b"0") * box.size
     for c in cells:
         bits[c] = 49  # "1"
@@ -525,19 +555,15 @@ def koszul_betti(
                     homology[faces] = tuple((i, r) for i, r in ranks.items() if r)
             if homology[faces]:
                 carriers[homology[faces]] |= leaf
-    multigraded: dict[tuple, int] = {}
-    orbits: dict[tuple[bool, ...], list] = {}  # _rearrangements by equal twins
+    # faces of size i span reduced homology in dimension i-1 = beta_{i,a};
+    # a carrying cell c sits at position c // stride % length on each axis
+    axes = [(vs, s, len(vs)) for vs, s in zip(box.values, box.strides)]
+    orbits = defaultdict(list)  # (representative, ranks) by equal twins
     for ranks, plane in carriers.items():
-        carried = []
-        for a in map(label.__getitem__, _set_bits(plane)):
-            equal = tuple(a[i] == a[j] for i, j in twins)
-            if equal not in orbits:
-                orbits[equal] = _rearrangements(classes, equal)
-            carried += [get(a) for get in orbits[equal]]
-        # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
-        for i, r in ranks:
-            multigraded.update(zip(zip(repeat(i), carried), repeat(r)))
-    return BettiTable(ideal.nvars, field, multigraded)
+        for c in _set_bits(plane):
+            a = tuple(vs[c // s % n] for vs, s, n in axes)
+            orbits[tuple(a[i] == a[j] for i, j in twins)].append((a, ranks))
+    return BettiTable._of_orbits(ideal.nvars, field, classes, orbits)
 
 
 def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:

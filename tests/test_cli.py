@@ -141,6 +141,23 @@ def test_betti_engines_agree_via_cli(capsys):
     assert json.loads(out1) == json.loads(out2)
 
 
+def test_betti_coarse_json_expands_no_orbit(capsys, monkeypatch):
+    # without --multigraded the Koszul table's orbits are never expanded,
+    # and the JSON holds the field and the coarse table, as the full one does
+    argv = ["betti", "--complete", "5", "--t", "3", "--component", "12", "--format", "json"]
+    _, full, _ = run(capsys, *argv, "--multigraded")
+
+    def refuse(*args):
+        raise AssertionError("an orbit was expanded")
+
+    monkeypatch.setattr(resolution, "_rearrangements", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    expected = json.loads(full)
+    del expected["multigraded"]
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
 def test_field_bound_refuses_huge_primes_at_once(capsys):
     # 10^20 + 39 is prime; trial division up to its square root would take
     # minutes, so the size bound must refuse it first
@@ -394,18 +411,23 @@ def test_usage_error_exit_code(capsys):
         ["gens"],
         ["betti", "--complete", "3", "--bogus"],
         ["-h", "search"],
+        # a usage error of every command: one its own parser reports, and an
+        # unknown argument, which the parser of every command reports
+        *([name, "--format", "bogus"] for name, _, _ in cli._COMMANDS),
+        *([name, "--bogus"] for name, _, _ in cli._COMMANDS),
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
 def test_parser_of_one_command_writes_what_the_full_parser_writes(capsys, argv):
-    # main configures only the subcommand it dispatches to; help and usage
-    # errors must come out byte for byte as from the parser of every command
+    # main parses a command named first with a parser of that command alone;
+    # help and usage errors must come out byte for byte as from the parser of
+    # every command
     code = main(argv)
     partial = capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     full = capsys.readouterr()
-    assert code == exc.value.code
+    assert code == exc.value.code == (0 if "--help" in argv or "-h" in argv else 2)
     assert partial.out.encode() == full.out.encode()
     assert partial.err.encode() == full.err.encode()
     assert partial.out or partial.err

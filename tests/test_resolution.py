@@ -332,6 +332,17 @@ def reference_betti_f2(I, lattice):
     return table
 
 
+def assert_orbit_sizes_add_up(table):
+    """A Koszul table's coarse entries, taken from orbit sizes before its
+    orbits are expanded, are the coarse sums of the expanded table, which
+    holds no zero rank."""
+    summed = defaultdict(int)
+    for (i, a), r in table.multigraded.items():
+        assert r > 0
+        summed[(i, sum(a))] += r
+    assert table.coarse == summed
+
+
 def assert_koszul_matches_oracles(I):
     gens = [g.exponents for g in I.generators]
     lcms = {
@@ -341,7 +352,9 @@ def assert_koszul_matches_oracles(I):
     }
     assert lcm_lattice(I) == sorted(lcms)
     for field in (RATIONALS, F2, FieldChoice(3)):
-        assert koszul_betti(I, field) == taylor_strand_betti(I, field)
+        table = koszul_betti(I, field)
+        assert_orbit_sizes_add_up(table)
+        assert table == taylor_strand_betti(I, field)
     # both engines take homology with the same routine; check it apart
     assert koszul_betti(I, F2).multigraded == reference_betti_f2(I, lcms)
 
@@ -672,6 +685,35 @@ def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
     monkeypatch.setattr(resolution, "_twin_classes", lambda I: [[i] for i in range(I.nvars)])
     assert koszul_betti(degree_12, field) == table
     assert 0 < twin_calls < len(calls) - twin_calls
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+def test_coarse_entries_from_orbit_sizes(field):
+    # Coarse entries add each orbit representative's ranks times the orbit's
+    # size; they must be the sums of the expanded table, and that table the
+    # one the subset-complex engine computes wherever it applies.
+    corpus = [projective_plane_ideal(), *_symmetric_ideals()]
+    for J in (cover_ideal(complete_graph(n), t) for n in range(2, 7) for t in (1, 2, 3)):
+        corpus += [J.component(d) for d in range(J.min_degree(), J.max_degree() + 1)]
+    # the star's five twin leaves and its centre; its components past degree
+    # 7 hold 477 generators or more, up to a box past BOX_CAP
+    for J in (cover_ideal(STAR_K15, t) for t in (1, 2, 3)):
+        corpus += [J, *(J.component(d) for d in range(J.min_degree(), 8))]
+    for I in corpus:
+        table = koszul_betti(I, field)
+        assert_orbit_sizes_add_up(table)
+        if len(I.generators) <= TAYLOR_CAP:
+            assert table == taylor_strand_betti(I, field), I
+
+
+def test_cwl_verdict_expands_no_orbit(monkeypatch):
+    # the verdict reads coarse entries only, and those come from orbit sizes
+    def refuse(*args):
+        raise AssertionError("an orbit was expanded")
+
+    monkeypatch.setattr(resolution, "_rearrangements", refuse)
+    report = is_componentwise_linear(cover_ideal(complete_graph(5), 3))
+    assert report.overall and [v.degree for v in report.verdicts] == [9, 10, 11, 12]
 
 
 def test_betti_table_auto_engine_switches():
