@@ -19,21 +19,19 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
   complex {b <= support(a) : x^(a-b) in I}, which lives on at most n
   vertices regardless of the generator count (Miller-Sturmfels, Thm 1.34).
-  Membership and the lattice are bit planes (one int each) over the
-  compressed divisor box, which keeps on each axis only the generator
-  exponents in its variable, plus 0, and are closed upward by shift-OR
-  sweeps along the axes.  The lattice plane is split by support and then
-  by the shifted membership planes, one face pattern at a time, into one
-  part per distinct complex; only points that carry a Betti number are
-  decoded.  A cone is contractible (Hatcher, Algebraic Topology, ch. 0) and
-  never reaches ``_homology``.  Variables that can be swapped without
-  changing the generators (twins, such as all n vertices of K_n in
-  J_{K_n}(t)) give lattice points with equal Betti numbers, so complexes
-  are built at one point per orbit of the swaps, the one whose positions do
-  not decrease along each twin class; the rest of an orbit is listed only
-  if the multigraded entries are read, as the coarse ones need only its
-  size.  A box past ``BOX_CAP`` cells raises CapacityError before anything
-  is allocated.
+  Variables that can be swapped without changing the generators (twins,
+  such as all n vertices of K_n in J_{K_n}(t)) give lattice points with
+  equal Betti numbers, so complexes are built only at the points whose
+  values do not decrease along each twin class, one per orbit of the swaps;
+  the rest of an orbit is listed only if the multigraded entries are read,
+  as the coarse ones need only its size.  Membership is a bit plane over
+  the compressed divisor box, which keeps on each axis only the generator
+  exponents in its variable, plus 0.  The representatives are grouped by
+  support, and each face pattern's membership bit is gathered for all of a
+  support's points at once; each distinct complex is screened for being a
+  cone, which is contractible (Hatcher, Algebraic Topology, ch. 0), and
+  otherwise has its homology computed once.  A box past ``BOX_CAP`` cells
+  raises CapacityError before anything is allocated.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
 reads them, so no boundary matrix is held whole.  Over Q it ranks every
@@ -54,9 +52,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
-from itertools import combinations, compress, islice, product
+from itertools import combinations, compress, islice, product, repeat
 from math import factorial, prod
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, le
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
@@ -427,15 +425,6 @@ class _DivisorBox:
         """Index of the cell of an exponent vector made of grid values."""
         return sum(map(getitem, self.offsets, exps))
 
-    def at_least(self, i: int) -> list[int]:
-        """Planes of the cells at position k or above on axis i, for k = 1,
-        2, ...: ``up[i]``, then each plane shifted one step up the axis."""
-        s, up = self.strides[i], self.up[i]
-        planes = [up]
-        for _ in range(len(self.values[i]) - 2):
-            planes.append((planes[-1] << s) & up)
-        return planes
-
     def sweep(self, plane: int, axes: Iterable[int]) -> int:
         """Close a plane upward along the given axes.  A shift by axis i's
         stride moves every cell one step up that axis; ``up[i]`` drops the
@@ -478,91 +467,84 @@ def koszul_betti(
     is in I iff the divisor-box cell one step down every axis of b is in
     the membership plane.
 
-    The points of ``lcm_lattice`` are turned into cells in bulk (axis
-    offsets), which gives one lattice plane; ANDing it with the ``up``
-    planes or their complements splits it by support.  In a support, face
-    pattern k (a vertex per support axis) is present exactly at the cells of
-    ``member << steps[k]``, and ``_split_by_complex`` splits the cells by
-    these planes into leaves, one per distinct complex, given as a face
-    bitset (bit k for pattern k), whose homology is computed once per call.
-
-    A complex in which some vertex v, added to any face lacking it, gives a
-    face (``_is_cone``) is the join of v with the faces lacking v, a cone,
-    so contractible (Hatcher, Algebraic Topology, 2002, ch. 0): its reduced
-    homology vanishes over every field, and it never reaches ``_homology``.
-    The empty face that this needs is always present, as the lattice point
-    lies in I.  Only cells of leaves with homology are decoded.
-
     Variables x_i and x_j are twins when swapping them maps the minimal
     generators onto themselves (``_twin_classes``).  Such a swap fixes I, so
     it maps the complex at a onto the complex at the swapped point, with the
     vertices renamed, and the two carry the same Betti numbers; the swaps
     generate the product of the symmetric groups on the twin classes.  Twin
-    axes have the same grid values, so each orbit of lattice points has
-    exactly one cell whose positions do not decrease along every class.
-    These cells are one more plane, built from ``at_least`` and ANDed into
-    the lattice plane before the support split, so complexes are found and
-    screened and homology is taken at one point per orbit only.  The table
-    keeps each representative that carries a Betti number with its ranks;
-    coarse entries weigh them by orbit size, all a linearity verdict reads,
-    and their rearrangements within the classes (``_rearrangements``) are
-    built only when the multigraded entries are read.  Without twins every
-    class is one variable and the domain is the whole plane.
+    axes have the same grid values, so each orbit of lattice points holds
+    exactly one point whose values do not decrease along every class; these
+    representatives are kept by comparing the columns of consecutive twins,
+    and complexes are built at them only.  Without twins every class is one
+    variable and every point is kept.
+
+    The representatives are grouped by support.  In a support, face pattern
+    k (a vertex set on the support axes) lies one step down each of its
+    axes, a fixed index distance ``steps[k]`` below the point in the box, so
+    one ``itemgetter`` over the membership flags reads pattern k's bit for
+    every point of the support at once.  A point's bits form its complex's
+    face bitset (bit k for pattern k), and each distinct bitset is handled
+    once per call.  A complex in which some vertex v, added to any face
+    lacking it, gives a face (``_is_cone``) is the join of v with the faces
+    lacking v, a cone, so contractible (Hatcher, Algebraic Topology, 2002,
+    ch. 0): its reduced homology vanishes over every field, and it never
+    reaches ``_homology``.  The empty face that this needs is always
+    present, as the lattice point lies in I.
+
+    The table keeps each representative that carries a Betti number with
+    its ranks; coarse entries weigh them by orbit size, all a linearity
+    verdict reads, and their rearrangements within the classes
+    (``_rearrangements``) are built only when the multigraded entries are
+    read.
 
     Raises CapacityError, before allocating, past ``BOX_CAP`` cells.
     """
     box = _DivisorBox(ideal)
+    member = memoryview(box.flags(box.member))
     points = lcm_lattice(ideal)
-    # each point's cell, axis by axis in bulk
-    cells = list(map(sum, zip(*map(map, (o.__getitem__ for o in box.offsets), zip(*points)))))
-    bits = bytearray(b"0") * box.size
-    for c in cells:
-        bits[c] = 49  # "1"
-    lattice = int(bits[::-1], 2)
-    # one point per orbit: positions nondecreasing along each twin class,
-    # i.e. for consecutive twins i < j, position >= k on axis i implies it
-    # on axis j
+    # one point per orbit: values nondecreasing along each twin class, i.e.
+    # at most the next twin's value, compared a column pair at a time (read
+    # lazily: transposing the whole lattice costs more); without twins,
+    # repeat(True) keeps every point
     classes = _twin_classes(ideal)
     twins = [(i, j) for cls in classes for i, j in zip(cls, cls[1:])]
-    for i, j in twins:
-        for on_i, on_j in zip(box.at_least(i), box.at_least(j)):
-            lattice &= ~on_i | on_j
-    # split the lattice plane by support: on axis i, up[i] holds the cells
-    # off position 0
-    supports = [(lattice, ())]
-    for i, up in enumerate(box.up):
-        supports = [
-            (plane, axes)
-            for cells_of, axes0 in supports
-            for plane, axes in ((cells_of & up, axes0 + (i,)), (cells_of & ~up, axes0))
-            if plane
-        ]
-    homology: dict[int, tuple[tuple[int, int], ...]] = {}
-    # the cells of every leaf with the same nonzero homology, as one plane
-    carriers: dict[tuple[tuple[int, int], ...], int] = defaultdict(int)
-    masks: dict[int, tuple[list[int], list[int]]] = {}  # _pattern_masks by vertex count
-    for plane, axes in supports:
-        if len(axes) not in masks:
-            masks[len(axes)] = _pattern_masks(len(axes))
-        without, of_size = masks[len(axes)]
-        strides = [box.strides[i] for i in axes]
-        for leaf, faces in _split_by_complex(plane, box.member, strides, without, of_size):
-            if faces not in homology:
-                if _is_cone(faces, without):
-                    homology[faces] = ()
-                else:
-                    ranks = _homology(_set_bits(faces), field)
-                    homology[faces] = tuple((i, r) for i, r in ranks.items() if r)
-            if homology[faces]:
-                carriers[homology[faces]] |= leaf
-    # faces of size i span reduced homology in dimension i-1 = beta_{i,a};
-    # a carrying cell c sits at position c // stride % length on each axis
-    axes = [(vs, s, len(vs)) for vs, s in zip(box.values, box.strides)]
+    ordered = zip(*(
+        map(le, map(itemgetter(i), points), map(itemgetter(j), points)) for i, j in twins
+    ), repeat(True))
+    by_support: dict[tuple[bool, ...], list[tuple]] = defaultdict(list)
+    for a in compress(points, map(all, ordered)):
+        by_support[tuple(map(bool, a))].append(a)
+    homology: dict[int, tuple[tuple[int, int], ...]] = {}  # face bitset -> nonzero ranks
+    known: dict[tuple, tuple[tuple[int, int], ...]] = {}  # the same by the bits as read
+    masks: dict[int, list[int]] = {}  # _pattern_masks by support size
     orbits = defaultdict(list)  # (representative, ranks) by equal twins
-    for ranks, plane in carriers.items():
-        for c in _set_bits(plane):
-            a = tuple(vs[c // s % n] for vs, s, n in axes)
-            orbits[tuple(a[i] == a[j] for i, j in twins)].append((a, ranks))
+    for support, reps in by_support.items():
+        # steps[k]: index distance one step down every support axis in pattern k
+        steps = [0]
+        for s in compress(box.strides, support):
+            steps += [d + s for d in steps]
+        low = steps[-1]  # to the lowest cell any face reads
+        gather = itemgetter(*[box.index(a) - low for a in reps])
+        bits = [gather(member[low - d:]) for d in steps]
+        # itemgetter of one index returns the bare item, not a 1-tuple
+        for a, key in zip(reps, zip(*bits) if reps[1:] else [tuple(bits)]):
+            ranks = known.get(key)
+            if ranks is None:
+                patterns = list(compress(range(len(key)), key))
+                faces = sum(1 << k for k in patterns)
+                if faces not in homology:
+                    m = sum(support)
+                    if m not in masks:
+                        masks[m] = _pattern_masks(m)
+                    if _is_cone(faces, masks[m]):
+                        homology[faces] = ()
+                    else:
+                        found = _homology(patterns, field)
+                        homology[faces] = tuple((i, r) for i, r in found.items() if r)
+                ranks = known[key] = homology[faces]
+            if ranks:
+                # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
+                orbits[tuple(a[i] == a[j] for i, j in twins)].append((a, ranks))
     return BettiTable._of_orbits(ideal.nvars, field, classes, orbits)
 
 
@@ -638,70 +620,10 @@ def _distinct_orders(word: list[int]) -> list[tuple[int, ...]]:
         orders.append(tuple(w))
 
 
-def _set_bits(plane: int) -> Iterator[int]:
-    """The set bits of an int, ascending; ``find`` skips the zeros in C."""
-    bits = format(plane, "b")[::-1]
-    idx = bits.find("1")
-    while idx >= 0:
-        yield idx
-        idx = bits.find("1", idx + 1)
-
-
-def _pattern_masks(m: int) -> tuple[list[int], list[int]]:
+def _pattern_masks(m: int) -> list[int]:
     """Sets of face patterns (vertex sets) on m vertices, with bit k for
-    pattern k: ``without[v]`` lacks vertex v, ``of_size[s]`` has s."""
-    without = [int(("0" * (1 << v) + "1" * (1 << v)) * (1 << (m - v - 1)), 2) for v in range(m)]
-    of_size = [1]
-    for v in range(m):  # the patterns holding v are those below 2^v, shifted by 2^v
-        of_size = [a | b << (1 << v) for a, b in zip(of_size + [0], [0] + of_size)]
-    return without, of_size
-
-
-def _split_by_complex(
-    plane: int, member: int, strides: list[int], without: list[int], of_size: list[int]
-) -> list[tuple[int, int]]:
-    """Split the cells of one support (its axes' strides given) into
-    (cells, faces) leaves, one per distinct upper Koszul complex.  Patterns
-    are tried by size, each only in leaves holding every pattern one vertex
-    smaller, as the complex is closed under subsets: pattern k passes the
-    mask for vertex v unless it holds v and k without v is missing."""
-    steps = [0]
-    for s in strides:
-        steps += [d + s for d in steps]
-    shifted: dict[int, int] = {}  # member << steps[k], as the patterns are tried
-    leaves = [(plane, 1)]
-    for size in range(1, len(strides) + 1):
-        grown = []
-        for cells, faces in leaves:
-            todo = of_size[size]
-            for v, w in enumerate(without):
-                todo &= ((faces & w) << (1 << v)) | w
-            parts = [(cells, faces)]
-            common = 0  # the faces every part gains
-            while todo:
-                low = todo & -todo  # bit k of a face mask: pattern k
-                todo ^= low
-                k = low.bit_length() - 1
-                if k not in shifted:
-                    shifted[k] = member << steps[k]
-                hit = cells & shifted[k]
-                if hit == cells:
-                    common |= low
-                elif hit:
-                    split = []
-                    for part, has in parts:
-                        inside = part & hit
-                        if inside:
-                            split.append((inside, has | low))
-                            part ^= inside
-                        if part:
-                            split.append((part, has))
-                    parts = split
-            grown += [(part, has | common) for part, has in parts]
-        if grown == leaves:
-            break  # no face of this size, so none larger
-        leaves = grown
-    return leaves
+    pattern k: ``without[v]`` lacks vertex v."""
+    return [int(("0" * (1 << v) + "1" * (1 << v)) * (1 << (m - v - 1)), 2) for v in range(m)]
 
 
 def _is_cone(faces: int, without: list[int]) -> bool:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import defaultdict
 from itertools import combinations, compress, permutations, product
 
@@ -590,7 +591,7 @@ def test_koszul_cone_screen_is_sound(monkeypatch, field):
     # every family on at most 3 vertices that holds each set between two of
     # its members (a chain complex for ``_homology``), the empty face or not
     for m in range(4):
-        without, _ = resolution._pattern_masks(m)
+        without = resolution._pattern_masks(m)
         for faces in range(1 << (1 << m)):
             members = _members(faces)
             if not all(
@@ -704,6 +705,64 @@ def test_coarse_entries_from_orbit_sizes(field):
         assert_orbit_sizes_add_up(table)
         if len(I.generators) <= TAYLOR_CAP:
             assert table == taylor_strand_betti(I, field), I
+
+
+# x1, x4, x6 are twins, and so are x2, x7: classes that are not runs
+SPREAD_TWINS = MonomialIdeal(8, [
+    Monomial(e) for e in {
+        (p[0], q[0], 0, p[1], 0, p[2], q[1], 1)
+        for p in permutations((2, 0, 0)) for q in permutations((1, 0))
+    } | {(1, 0, 1, 1, 0, 1, 2, 3), (1, 2, 1, 1, 0, 1, 0, 3)}
+])
+
+
+def _wide_ideals():
+    """Seeded ideals in 7-10 variables drawn with 5-12 generators (fewer
+    once minimalised), every other one squarefree and the rest with
+    exponents up to 3, then the maximal ideal in 12 variables and
+    SPREAD_TWINS."""
+    rng = random.Random(1818)
+    corpus = []
+    for k in range(12):
+        n, top = rng.randint(7, 10), 1 + 2 * (k % 2)
+        corpus.append(MonomialIdeal(n, [
+            Monomial(tuple(rng.randint(0, top) for _ in range(n)))
+            for _ in range(rng.randint(5, 12))
+        ]))
+    maximal = MonomialIdeal(12, [Monomial(tuple(int(i == k) for i in range(12))) for k in range(12)])
+    return [*corpus, maximal, SPREAD_TWINS]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+def test_koszul_matches_taylor_on_wide_supports(field):
+    # The Koszul engine gathers one membership bit per face pattern of a
+    # support, 2^m patterns on m support axes; elsewhere the tests stop at 6
+    # variables, here supports reach 7 to 12 axes.
+    corpus = _wide_ideals()
+    assert resolution._twin_classes(SPREAD_TWINS) == [[0, 3, 5], [1, 6], [2], [4], [7]]
+    widest = 0
+    for I in corpus:
+        assert len(I.generators) <= TAYLOR_CAP, I
+        table = koszul_betti(I, field)
+        assert_orbit_sizes_add_up(table)
+        assert table == taylor_strand_betti(I, field), I
+        widest = max(widest, *(len(a) - a.count(0) for (_, a) in table.multigraded))
+    assert widest == 12
+
+
+def test_koszul_memory_on_a_wide_support_is_linear_in_its_patterns():
+    # x1 * ... * x16: one lattice point whose support has 2^16 face patterns.
+    # Bookkeeping per pattern must stay a few bytes; one int of bit k per
+    # pattern k alone would hold 2^32 / 16 bytes, about 268 MB.
+    I = MonomialIdeal(16, [Monomial((1,) * 16)])
+    tracemalloc.start()
+    try:
+        table = koszul_betti(I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.multigraded == {(0, (1,) * 16): 1}
+    assert peak < 32 << 20, peak
 
 
 def test_cwl_verdict_expands_no_orbit(monkeypatch):

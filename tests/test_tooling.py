@@ -211,3 +211,36 @@ def test_every_cli_option_is_read():
         if missing:
             unread[command] = sorted(missing)
     assert unread == {}
+
+
+def test_every_private_helper_is_used():
+    # A module-level function or class whose name starts with "_" is no API:
+    # if nothing in the package refers to it outside its own definition, it
+    # is dead code.  Tests do not count as users.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+    def names(node: ast.AST, skip: ast.AST) -> set[str]:
+        if node is skip:
+            return set()
+        found = set()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        for child in ast.iter_child_nodes(node):
+            found |= names(child, skip)
+        return found
+
+    helpers = [
+        (module, node) for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert helpers
+    unused = [
+        f"{module}:{node.name}" for module, node in helpers
+        if not any(node.name in names(tree, node) for tree in trees.values())
+    ]
+    assert unused == []
