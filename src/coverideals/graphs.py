@@ -230,8 +230,8 @@ def cover_ideal(G: SimpleGraph, t: int) -> MonomialIdeal:
     iterated edge by edge on exponent tuples (``_edge_step``), merging edges
     that share high-numbered vertices last, which scales past the t-cover
     scan's n <= 8 comfort zone.  Each step is reduced to its minimal
-    vectors once; ``Monomial`` objects are built for the last step's
-    candidates only, which ``minimalize`` reduces.
+    vectors once; ``Monomial`` objects, unchecked as t is at most the cap,
+    are built for the last step's candidates only, which ``minimalize`` reduces.
     """
     if t < 1:
         raise ValueError("cover order t must be >= 1")
@@ -244,7 +244,7 @@ def cover_ideal(G: SimpleGraph, t: int) -> MonomialIdeal:
     gens = [(0,) * n]
     for a, b in edges:
         gens = _minimal_exponents(_edge_step(gens, a - 1, b - 1, t))
-    return minimalize(n, map(Monomial, _edge_step(gens, u - 1, v - 1, t)))
+    return minimalize(n, map(Monomial._of, _edge_step(gens, u - 1, v - 1, t)))
 
 
 def knt_closed_form(n: int, t: int) -> MonomialIdeal:

@@ -4,7 +4,9 @@ A monomial is an exponent vector over a fixed number of ring variables
 x1..xn; a monomial ideal is its unique minimal generating set.  Everything
 here is integer arithmetic: divisibility, lcm/gcd, minimal generators,
 intersections, colon ideals, degree components, and the degree-lex
-order used to list generators canonically.
+order used to list generators canonically.  Exponents are checked where
+monomials enter (``Monomial(...)``, ``parse_monomial``, ``*``), not again in
+what is computed from them: lcms, gcds, quotients, colons and components.
 
 Text format (files and CLI): ``x1^2*x3`` with ``1`` for the unit monomial.
 Ideal files start with a ``vars <n>`` line followed by one monomial per line.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from itertools import combinations_with_replacement
 from math import comb
-from operator import le
+from operator import itemgetter, le, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
@@ -27,11 +29,13 @@ COMPONENT_ENUMERATION_CAP = 2_000_000
 def _deglex_key(exps: Sequence[int]) -> tuple:
     # Total degree first; ties broken scanning from the highest-index
     # variable down, larger exponent there sorting earlier.
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 class Monomial:
-    """An exponent vector; immutable, hashable, totally ordered by deglex."""
+    """An exponent vector; immutable, hashable, totally ordered by deglex.
+    The constructor checks the exponents (ints from 0 to ``EXPONENT_CAP``);
+    ``_of`` takes an int tuple derived from checked monomials as it is."""
 
     __slots__ = ("exponents", "degree")
 
@@ -45,6 +49,12 @@ class Monomial:
             raise CapacityError(f"exponent {max(exps)} exceeds the cap {EXPONENT_CAP}")
         self.exponents = exps
         self.degree = sum(exps)
+
+    @classmethod
+    def _of(cls, exps: tuple[int, ...]) -> "Monomial":
+        m = object.__new__(cls)
+        m.exponents, m.degree = exps, sum(exps)
+        return m
 
     @property
     def nvars(self) -> int:
@@ -63,11 +73,11 @@ class Monomial:
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_same_ring(other)
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
+        return Monomial._of(tuple(map(max, self.exponents, other.exponents)))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         self._check_same_ring(other)
-        return Monomial(tuple(map(min, self.exponents, other.exponents)))
+        return Monomial._of(tuple(map(min, self.exponents, other.exponents)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_same_ring(other)
@@ -77,7 +87,7 @@ class Monomial:
         """Exact division; ``other`` must divide ``self``."""
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._of(tuple(map(sub, self.exponents, other.exponents)))
 
     def is_unit(self) -> bool:
         return self.degree == 0
@@ -169,6 +179,13 @@ def minimalize(nvars: int, monomials: Iterable[Monomial]) -> "MonomialIdeal":
         pool[m.exponents] = m
     kept = _minimal_exponents(pool)
     return MonomialIdeal._from_minimal(nvars, tuple(map(pool.__getitem__, kept)))
+
+
+def _colon(gens: Iterable[Monomial], f: Monomial) -> tuple[Monomial, ...]:
+    """Minimal generators of (gens) : f in deglex order, for any generating
+    set: the g / gcd(g, f) generate the colon."""
+    return tuple(map(Monomial._of, _minimal_exponents(
+        tuple(map(sub, g.exponents, map(min, g.exponents, f.exponents))) for g in gens)))
 
 
 class MonomialIdeal:
@@ -268,20 +285,22 @@ class MonomialIdeal:
         """The colon ideal self : f, so m is in it iff m*f is in self."""
         if f.nvars != self.nvars:
             raise DimensionError(f"monomial in {f.nvars} variables, expected {self.nvars}")
-        return minimalize(
-            self.nvars, (g.quotient(g.gcd(f)) for g in self.generators)
-        )
+        return MonomialIdeal._from_minimal(self.nvars, _colon(self.generators, f))
 
     def component(self, d: int) -> "MonomialIdeal":
         """The ideal generated by all degree-d monomials of self.
 
         Its minimal generators are exactly the degree-d monomials contained
-        in self (monomials of one degree never divide each other).
+        in self (monomials of one degree never divide each other).  The
+        enumeration cap is checked per generator; the exponent cap once,
+        after enumeration, naming the largest exponent of the deglex-first
+        monomial past it, which is the checking constructor's text.
         """
         if d < 0:
             raise ValueError("negative degree")
         seen: set[tuple] = set()
         n = self.nvars
+        over = False  # some multiple is past the exponent cap
         for g in self.generators:
             k = d - g.degree
             if k < 0:
@@ -292,13 +311,18 @@ class MonomialIdeal:
                     f"enumerating the degree-{d} component needs {count} "
                     "multiples per generator; beyond the enumeration cap"
                 )
+            over |= max(g.exponents) + k > EXPONENT_CAP
             for extra in combinations_with_replacement(range(n), k):
                 exps = list(g.exponents)
                 for i in extra:
                     exps[i] += 1
                 seen.add(tuple(exps))
-        gens = tuple(Monomial(e) for e in sorted(seen, key=_deglex_key))
-        return MonomialIdeal._from_minimal(self.nvars, gens)
+        if over:
+            first = min((e for e in seen if max(e) > EXPONENT_CAP), key=_deglex_key)
+            raise CapacityError(f"exponent {max(first)} exceeds the cap {EXPONENT_CAP}")
+        # one degree, so deglex is descending order of the reversed exponents
+        exps = sorted(seen, reverse=True, key=itemgetter(*reversed(range(n))))
+        return MonomialIdeal._from_minimal(n, tuple(map(Monomial._of, exps)))
 
 
 def format_ideal(ideal: MonomialIdeal) -> str:

@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, NotEquigeneratedError
 from .linalg import matrix_rank
-from .monomials import Monomial, MonomialIdeal, minimalize
+from .monomials import Monomial, MonomialIdeal, _colon
 
 # Generator count past which the subset-complex engine refuses an ideal and
 # ``engine="auto"`` switches to the lcm-lattice engine.
@@ -162,10 +162,6 @@ class BettiTable:
 
     def coarse_entries(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, r) for (i, j), r in self.coarse.items())
-
-    def generator_histogram(self) -> dict[int, int]:
-        """Degree -> number of minimal generators, read from row i=0."""
-        return {j: r for (i, j), r in self.coarse.items() if i == 0}
 
     def __eq__(self, other) -> bool:
         return (
@@ -753,10 +749,12 @@ def is_componentwise_linear(
     computed.
 
     ``budget`` caps the generators summed over the degree components (0
-    means no cap), gap degrees included.  Every component is built before
-    any Betti table, so an ideal past the budget raises ``CapacityError``
-    having computed none.  The sum depends on the ideal alone, so the same
-    ideals are refused on every host and thread.
+    means no cap), gap degrees included.  Every component is enumerated and
+    counted before any Betti table, so an ideal past the budget raises
+    ``CapacityError`` having computed none.  The sum depends on the ideal
+    alone, so the same ideals are refused on every host and thread.  The
+    ideal's exponents were checked when it was built; a component's are not
+    checked again, bar the exponent cap, which ``component`` enforces.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0 (0 means no budget)")
@@ -802,13 +800,6 @@ class QuotientsResult(namedtuple(
     bad f_k and ``offending`` a colon generator of degree != 1."""
 
     __slots__ = ()
-
-
-def _colon(prefix: Sequence[Monomial], f: Monomial) -> tuple[Monomial, ...]:
-    """Minimal generators of the colon ideal (prefix) : f.  The colon of any
-    generating set is generated by the g / gcd(g, f), so the prefix itself
-    is never minimalized."""
-    return minimalize(f.nvars, (g.quotient(g.gcd(f)) for g in prefix)).generators
 
 
 def linear_quotients_check(gens: Sequence[Monomial]) -> QuotientsResult:

@@ -208,6 +208,24 @@ def test_default_cap_exit_codes(tmp_path, capsys, argv):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "text, degree, stderr",
+    [
+        ("vars 2\nx1\n", 70, "error: exponent 69 exceeds the cap 64\n"),  # x1*x2^69
+        ("vars 2\nx1^60\n", 66, "error: exponent 65 exceeds the cap 64\n"),  # x1^65*x2
+        ("vars 3\nx1*x2^3\nx2^2*x3^5\nx3^60\n", 66,
+         "error: exponent 66 exceeds the cap 64\n"),
+    ],
+)
+def test_betti_component_past_the_exponent_cap(tmp_path, capsys, text, degree, stderr):
+    # the exponent named is the largest of the deglex-first degree-D monomial
+    # past the cap, as when every multiple was built by the checking constructor
+    f = tmp_path / "near-cap.ideal"
+    f.write_text(text)
+    assert run(capsys, "betti", "--ideal", str(f), "--component", str(degree)) == (
+        3, "", stderr)
+
+
 def test_betti_koszul_box_capacity_exit_code(tmp_path, capsys):
     n = BOX_CAP.bit_length()  # x1..xn span a box of 2^n > BOX_CAP cells
     f = tmp_path / "vars.ideal"

@@ -1,10 +1,12 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverideals.errors import CapacityError, DimensionError
 from coverideals.monomials import (
+    EXPONENT_CAP,
     Monomial,
     MonomialIdeal,
     format_ideal,
@@ -14,6 +16,7 @@ from coverideals.monomials import (
     parse_monomial,
     unit_monomial,
     variable,
+    _colon,
 )
 
 
@@ -228,6 +231,72 @@ def test_component_equigenerated_and_idempotent(gens, d):
     # every degree-d monomial in I, found by brute force, in deglex order
     degree_d = (M(*e) for e in product(range(d + 1), repeat=3) if sum(e) == d)
     assert list(C.generators) == sorted(m for m in degree_d if I.contains(m))
+
+
+# ---------------------------------------------------------------------------
+# unchecked construction: results built by Monomial._of equal checked builds
+
+def assert_checked_build(m):
+    """m is what the checking constructor makes of its exponents: equal, with
+    the same hash and degree, and exponents an int tuple."""
+    ref = Monomial(m.exponents)
+    assert type(m.exponents) is tuple and all(type(e) is int for e in m.exponents)
+    assert m == ref and hash(m) == hash(ref) and m.degree == ref.degree
+    assert m.exponents == ref.exponents
+
+
+@given(small_monomials, small_monomials)
+def test_lcm_gcd_quotient_equal_checked_builds(a, b):
+    for m in (a.lcm(b), a.gcd(b), a.lcm(b).quotient(b), a.quotient(a.gcd(b))):
+        assert_checked_build(m)
+
+
+@given(small_gen_sets, small_monomials, st.integers(0, 8))
+@settings(max_examples=80)
+def test_component_and_colon_equal_checked_builds(gens, f, d):
+    I = minimalize(3, gens)
+    results = I.component(d).generators + I.colon(f).generators + _colon(gens, f)
+    for m in results:
+        assert_checked_build(m)
+    # the colon of any generating set, minimalized from checked quotients
+    quotients = (Monomial(tuple(max(a - b, 0) for a, b in zip(g.exponents, f.exponents)))
+                 for g in gens)
+    assert _colon(gens, f) == minimalize(3, quotients).generators
+    assert I.colon(f) == minimalize(3, _colon(gens, f))
+
+
+def checked_component(I, d):
+    """Every degree-d monomial of I, built by the checking constructor in
+    deglex order: the generators of I.component(d), or the CapacityError
+    the first one past the exponent cap raises."""
+    n = I.nvars
+    degree_d = (tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), d))
+    inside = [e for e in degree_d if any(all(map(le, g.exponents, e)) for g in I.generators)]
+    deglex = sorted(inside, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
+    return tuple(Monomial(e) for e in deglex)
+
+
+near_cap = st.one_of(st.integers(0, 3), st.integers(EXPONENT_CAP - 8, EXPONENT_CAP))
+ideals_near_cap = st.integers(1, 3).flatmap(lambda n: st.builds(
+    MonomialIdeal, st.just(n),
+    st.lists(st.builds(Monomial, st.lists(near_cap, min_size=n, max_size=n)),
+             min_size=1, max_size=4)))
+
+
+@given(ideals_near_cap, st.integers(EXPONENT_CAP - 6, EXPONENT_CAP + 10))
+@example(ideal(2, (1, 0)), 70)  # first past the cap: x1*x2^69
+@example(ideal(3, (1, 3, 0), (0, 2, 5), (0, 0, 60)), 66)  # x3^66
+@example(ideal(2, (60, 0)), 66)  # x1^65*x2, as x2 stays below the cap
+@settings(max_examples=60, deadline=None)
+def test_component_past_the_exponent_cap_fails_as_checked_builds_do(I, d):
+    try:
+        expected = checked_component(I, d)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as info:
+            I.component(d)
+        assert str(info.value) == str(exc)
+    else:
+        assert I.component(d).generators == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from coverideals.errors import CapacityError, NotEquigeneratedError
 from coverideals.graphs import complete_graph, counterexample_graph, cover_ideal, theorem_order
-from coverideals.monomials import Monomial, MonomialIdeal
+from coverideals.monomials import Monomial, MonomialIdeal, minimalize
 from coverideals.resolution import (
     find_linear_quotient_order,
     has_linear_resolution,
@@ -89,6 +90,51 @@ def test_backtracking_recovers_from_bad_deglex_prefix():
     assert linear_quotients_check(order).ok
     if not deglex_ok:
         assert order != list(I.generators)
+
+
+def minimalized_colon(prefix, f):
+    """(prefix) : f as minimalize reduces the quotients g / gcd(g, f), each
+    built by the checking constructor."""
+    quotients = (Monomial(tuple(max(a - b, 0) for a, b in zip(g.exponents, f.exponents)))
+                 for g in prefix)
+    return minimalize(f.nvars, quotients).generators
+
+
+def assert_steps_are_minimalized_colons(gens):
+    result = linear_quotients_check(gens)
+    colons = [minimalized_colon(gens[: k - 1], gens[k - 1]) for k in range(2, len(gens) + 1)]
+    bad = next((k for k, c in enumerate(colons, start=2) if any(m.degree != 1 for m in c)), None)
+    assert result.ok == (bad is None) and result.failing_index == bad
+    assert list(result.steps) == colons[: len(result.steps)]
+    for got, ref in zip(result.steps, colons):
+        assert [(hash(m), m.degree, m.exponents) for m in got] == [
+            (hash(m), m.degree, m.exponents) for m in ref]
+        assert all(type(e) is int for m in got for e in m.exponents)
+    if bad is not None:
+        assert result.offending == next(m for m in colons[bad - 2] if m.degree != 1)
+    I = MonomialIdeal(gens[0].nvars, gens)
+    certified = find_linear_quotient_order(I, strategy="deglex") is not None
+    assert certified == linear_quotients_check(list(I.generators)).ok
+
+
+listings = st.lists(
+    st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=7
+).map(lambda rows: list(MonomialIdeal(3, map(Monomial, rows)).generators)).flatmap(
+    st.permutations)
+
+
+@given(listings)
+def test_check_steps_equal_minimalized_colons(gens):
+    assert_steps_are_minimalized_colons(gens)
+
+
+def test_cover_ideal_steps_equal_minimalized_colons():
+    graphs = [complete_graph(n) for n in (3, 4, 5)] + [counterexample_graph()]
+    for G in graphs:
+        for t in (1, 2, 3):
+            assert_steps_are_minimalized_colons(list(cover_ideal(G, t).generators))
+    for n, t in ((3, 4), (4, 3), (5, 2)):
+        assert_steps_are_minimalized_colons(theorem_order(n, t))
 
 
 def test_backtracking_cap():

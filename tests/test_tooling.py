@@ -1,15 +1,21 @@
 import argparse
 import ast
+import contextlib
+import importlib
 import inspect
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coverideals
 from coverideals import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coverideals"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -244,3 +250,28 @@ def test_every_private_helper_is_used():
         if not any(node.name in names(tree, node) for tree in trees.values())
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("name", ["complete_cwl", "chordal_sweep", "random_betti"])
+def test_traced_pass_fires_the_layers_of_its_workload(name, tmp_path, monkeypatch):
+    # The benchmark's traced run fails when a layer a workload lists never
+    # fires (a change bypassed its wrapper) or an idle one does.  Seven
+    # random ideals reach 15 generators, so both Betti engines run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    if name == "random_betti":
+        workload = workloads.RandomBetti(count=7)
+    items = workload.build(7, tmp_path)
+    workload.write_inputs()
+    tracer = spans.Tracer()
+    tracer.install(coverideals)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            statuses = [cli.main(argv) for argv in items]
+    finally:
+        tracer.uninstall()
+    assert set(statuses) == {workload.exit_code}
+    assert workload.layers - tracer.fired() == set()
+    assert workload.idle & tracer.fired() == set()
