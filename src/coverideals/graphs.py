@@ -63,12 +63,6 @@ class SimpleGraph:
                     stack.append(w)
         return len(seen) == self.nvertices
 
-    def relabel(self, perm: Sequence[int]) -> "SimpleGraph":
-        """Apply the permutation v -> perm[v-1] to the vertex labels."""
-        return SimpleGraph(
-            self.nvertices, [(perm[a - 1], perm[b - 1]) for a, b in self.edges]
-        )
-
     def is_chordal(self) -> tuple[bool, Optional[list[int]]]:
         """Chordality test via maximum-cardinality search.
 

@@ -22,16 +22,18 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   Variables that can be swapped without changing the generators (twins,
   such as all n vertices of K_n in J_{K_n}(t)) give lattice points with
   equal Betti numbers, so complexes are built only at the points whose
-  values do not decrease along each twin class, one per orbit of the swaps;
-  the rest of an orbit is listed only if the multigraded entries are read,
-  as the coarse ones need only its size.  Membership is a bit plane over
-  the compressed divisor box, which keeps on each axis only the generator
-  exponents in its variable, plus 0.  The representatives are grouped by
-  support, and each face pattern's membership bit is gathered for all of a
-  support's points at once; each distinct complex is screened for being a
-  cone, which is contractible (Hatcher, Algebraic Topology, ch. 0), and
-  otherwise has its homology computed once.  A box past ``BOX_CAP`` cells
-  raises CapacityError before anything is allocated.
+  values do not decrease along each twin class, one per orbit of the swaps,
+  built as words over the twins' values where fewer than the lattice's
+  points, else filtered from them; the rest of an orbit is listed only if
+  the multigraded entries are read, as the coarse ones need only its size.
+  Membership is a bit plane over the compressed divisor box, which keeps on
+  each axis only the generator exponents in its variable, plus 0.  The
+  representatives are grouped by support, and each face pattern's
+  membership bit is gathered for all of a support's points at once; each
+  distinct complex is screened for being a cone, which is contractible
+  (Hatcher, Algebraic Topology, ch. 0), and otherwise has its homology
+  computed once.  A box past ``BOX_CAP`` cells raises CapacityError before
+  anything is allocated.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
 reads them, so no boundary matrix is held whole.  Over Q it ranks every
@@ -52,8 +54,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
-from itertools import combinations, compress, islice, product, repeat
-from math import factorial, prod
+from itertools import (
+    combinations, combinations_with_replacement, compress, islice, product, repeat,
+)
+from math import comb, factorial, prod
 from operator import getitem, itemgetter, le
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -469,10 +473,12 @@ def koszul_betti(
     vertices renamed, and the two carry the same Betti numbers; the swaps
     generate the product of the symmetric groups on the twin classes.  Twin
     axes have the same grid values, so each orbit of lattice points holds
-    exactly one point whose values do not decrease along every class; these
-    representatives are kept by comparing the columns of consecutive twins,
-    and complexes are built at them only.  Without twins every class is one
-    variable and every point is kept.
+    exactly one point whose values do not decrease along every class, and
+    complexes are built at these only.  Where the nondecreasing words over
+    each class's grid values are fewer than the lattice points, they are
+    built and looked up (``_built_representatives``: 252 words keep 86 of
+    2,228 points of J_{K_5}(3) in degree 12); else consecutive twins'
+    columns are compared at every point.
 
     The representatives are grouped by support.  In a support, face pattern
     k (a vertex set on the support axes) lies one step down each of its
@@ -498,17 +504,19 @@ def koszul_betti(
     box = _DivisorBox(ideal)
     member = memoryview(box.flags(box.member))
     points = lcm_lattice(ideal)
-    # one point per orbit: values nondecreasing along each twin class, i.e.
-    # at most the next twin's value, compared a column pair at a time (read
-    # lazily: transposing the whole lattice costs more); without twins,
-    # repeat(True) keeps every point
     classes = _twin_classes(ideal)
     twins = [(i, j) for cls in classes for i, j in zip(cls, cls[1:])]
-    ordered = zip(*(
-        map(le, map(itemgetter(i), points), map(itemgetter(j), points)) for i, j in twins
-    ), repeat(True))
+    grids = [box.values[cls[0]] for cls in classes]  # twins share grid values
+    if prod(comb(len(v) + len(c) - 1, len(c)) for v, c in zip(grids, classes)) < len(points):
+        kept = _built_representatives(points, classes, grids)
+    else:
+        # each value at most the next twin's; without twins, keep every point
+        ordered = zip(*(
+            map(le, map(itemgetter(i), points), map(itemgetter(j), points)) for i, j in twins
+        ), repeat(True))
+        kept = compress(points, map(all, ordered))
     by_support: dict[tuple[bool, ...], list[tuple]] = defaultdict(list)
-    for a in compress(points, map(all, ordered)):
+    for a in kept:
         by_support[tuple(map(bool, a))].append(a)
     homology: dict[int, tuple[tuple[int, int], ...]] = {}  # face bitset -> nonzero ranks
     known: dict[tuple, tuple[tuple[int, int], ...]] = {}  # the same by the bits as read
@@ -542,6 +550,19 @@ def koszul_betti(
                 # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
                 orbits[tuple(a[i] == a[j] for i, j in twins)].append((a, ranks))
     return BettiTable._of_orbits(ideal.nvars, field, classes, orbits)
+
+
+def _built_representatives(points: list, classes: list, grids: list) -> list[tuple]:
+    """The points of a sorted non-empty lattice whose values do not decrease
+    along each twin class: the nondecreasing words over each class's grid
+    values, put in variable order, kept where bisection finds them."""
+    words = product(*map(combinations_with_replacement, grids, map(len, classes)))
+    reps = (sum(w, ()) for w in words)
+    order = [i for cls in classes for i in cls]
+    if order != sorted(order):
+        reps = map(itemgetter(*map(order.index, range(len(order)))), reps)
+    last = len(points) - 1
+    return [a for a in reps if points[bisect_left(points, a, 0, last)] == a]
 
 
 def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:

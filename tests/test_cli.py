@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -499,3 +500,20 @@ def test_json_outputs_are_stable(capsys):
     _, out1, _ = run(capsys, "check-cwl", "--counterexample", "--t", "2", "--format", "json")
     _, out2, _ = run(capsys, "check-cwl", "--counterexample", "--t", "2", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("check-cwl --complete 5 --t 2", "8796bce4d10d49b4aae0445a0043bcd8e31475198188c61aec0815565a8354a6"),
+    ("check-cwl --complete 5 --t 3", "dd8db4e7ae5359e3d32aa1f56e20bee9d58e199f16fadc5bb0a0c53974da4b00"),
+    ("check-cwl --complete 6 --t 2", "a3c24461b701f4efe8b49d148f1606d4dada944076723fd741789a205a048b34"),
+    ("check-cwl --complete 6 --t 3", "20ee90c55f7d095e04b2b900c40c447cf3d12762a05e4fcf930468bb7e9c8b77"),
+    # every orbit of the degree-12 component of J_{K5}(3) expanded
+    ("betti --complete 5 --t 3 --component 12 --multigraded",
+     "40b00e4376b3614417f1251a40c4ab5e287f5e8b1159c2b1e204c5d035e49d00"),
+])
+def test_json_outputs_are_pinned(capsys, argv, digest):
+    # sha256 of the output of the filter that tested every lattice point for
+    # being its orbit's representative
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

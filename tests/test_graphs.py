@@ -255,10 +255,15 @@ def test_cover_ideal_methods_agree_k3_t2():
     assert set(m.exponents for m in cover_ideal(G, 2)) == expected
 
 
+def relabel(G, perm):
+    """G with each vertex v renamed perm[v-1]."""
+    return SimpleGraph(G.nvertices, [(perm[a - 1], perm[b - 1]) for a, b in G.edges])
+
+
 def test_cover_ideal_invariant_under_relabelling():
     G = counterexample_graph()
     for perm in permutations(range(1, 5)):
-        H = G.relabel(perm)
+        H = relabel(G, perm)
         I, J = cover_ideal(G, 2), cover_ideal(H, 2)
         relabelled = {
             tuple(e[perm.index(v + 1)] for v in range(4)) for e in

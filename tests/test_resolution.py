@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import defaultdict
 from itertools import combinations, compress, permutations, product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -631,6 +632,20 @@ def test_twin_classes():
         assert koszul_betti(I).multigraded == unscreened_koszul(I, RATIONALS, resolution._homology)
 
 
+def block_symmetric_ideal(n, blocks, seeds):
+    """The ideal of every exponent vector got from a seed by permuting its
+    exponents within each block of variables."""
+    gens = set()
+    for e in seeds:
+        for images in product(*(permutations(block) for block in blocks)):
+            f = list(e)
+            for block, image in zip(blocks, images):
+                for src, dst in zip(block, image):
+                    f[dst] = e[src]
+            gens.add(tuple(f))
+    return MonomialIdeal(n, [Monomial(f) for f in gens])
+
+
 def _symmetric_ideals(count=40):
     """Seeded ideals in 2-5 variables closed under permuting the exponents
     within random blocks of variables, so that each block lies in a twin
@@ -642,17 +657,52 @@ def _symmetric_ideals(count=40):
         order = rng.sample(range(n), n)
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
         blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
-        gens = set()
-        for _ in range(rng.randint(1, 3)):
-            e = [rng.randint(0, 2) for _ in range(n)]
-            for images in product(*(permutations(block) for block in blocks)):
-                f = e[:]
-                for block, image in zip(blocks, images):
-                    for src, dst in zip(block, image):
-                        f[dst] = e[src]
-                gens.add(tuple(f))
-        out.append(MonomialIdeal(n, [Monomial(f) for f in gens]))
+        seeds = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        out.append(block_symmetric_ideal(n, blocks, seeds))
     return out
+
+
+def grid_values(I):
+    """Per variable, the generators' exponents in it, plus 0, sorted."""
+    return [sorted({0, *(g.exponents[i] for g in I.generators)}) for i in range(I.nvars)]
+
+
+def candidate_count(I):
+    """The nondecreasing words over the grid values of each twin class, the
+    candidates from which orbit representatives can be built."""
+    values = grid_values(I)
+    classes = resolution._twin_classes(I)
+    return prod(comb(len(values[c[0]]) + len(c) - 1, len(c)) for c in classes)
+
+
+@st.composite
+def partition_symmetric_ideals(draw):
+    """(ideal, blocks): an ideal in 2-6 variables closed under permuting the
+    exponents within each block of a random partition of the variables
+    (blocks need not be runs), so each block lies in a twin class."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    seeds = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))
+    return block_symmetric_ideal(n, blocks, seeds), blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_symmetric_ideals())
+def test_built_orbit_representatives_match_the_column_filter(drawn):
+    # Representatives built as words over the classes' grid values and
+    # found by bisection are the lattice points that a column filter keeps:
+    # values nondecreasing along every twin class.
+    I, blocks = drawn
+    classes = resolution._twin_classes(I)
+    assert all(any(set(block) <= set(c) for c in classes) for block in blocks)
+    points = lcm_lattice(I)
+    values = grid_values(I)
+    built = resolution._built_representatives(points, classes, [values[c[0]] for c in classes])
+    twins = [(i, j) for c in classes for i, j in zip(c, c[1:])]
+    filtered = [a for a in points if all(a[i] <= a[j] for i, j in twins)]
+    assert len(built) == len(set(built)) and set(built) == set(filtered)
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
@@ -671,14 +721,29 @@ def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
             seen[key] = homology(key, over)
         return seen[key]
 
-    reduced = 0
+    # representatives are built from the classes' words where those are
+    # fewer than the lattice points, else filtered from the points
+    builds = []
+    build = resolution._built_representatives
+    monkeypatch.setattr(resolution, "_built_representatives",
+                        lambda *args: builds.append(args) or build(*args))
+    reduced, sides = 0, set()
     for I in corpus:
-        reduced += len(resolution._twin_classes(I)) < I.nvars
+        before = len(builds)
         assert koszul_betti(I, field).multigraded == unscreened_koszul(I, field, recalled), I
+        assert (len(builds) > before) == (candidate_count(I) < len(lcm_lattice(I))), I
+        if len(resolution._twin_classes(I)) < I.nvars:
+            reduced += 1
+            sides.add(len(builds) > before)
     assert reduced > len(corpus) // 2
+    # both sides occur with twins present
+    assert sides == {True, False}
+    degree_12 = K5_T3_COMPONENTS[-1]
+    assert (candidate_count(degree_12), len(lcm_lattice(degree_12))) == (252, 2228)
+    star_23 = cover_ideal(SimpleGraph(4, [(1, 2), (1, 3), (1, 4), (2, 3)]), 2).component(6)
+    assert (candidate_count(star_23), len(lcm_lattice(star_23))) == (300, 257)
     # on the degree-12 component of J_{K5}(3) the reduction takes homology
     # of fewer complexes than the same engine with every variable alone
-    degree_12 = K5_T3_COMPONENTS[-1]
     calls = []
 
     def counting(faces, over):
