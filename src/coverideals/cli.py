@@ -136,8 +136,13 @@ def _cmd_check_cwl(args) -> int:
     field = parse_field(args.field)
     ideal = _resolve_ideal(args)
     report = is_componentwise_linear(ideal, field, engine=args.engine)
+    certificate = None
+    if report.overall and not report.vacuous:
+        certificate = find_linear_quotient_order(ideal)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
+        out = report.to_json_dict()
+        out["certificate"] = [str(m) for m in certificate] if certificate else None
+        print(json.dumps(out, sort_keys=True))
     else:
         for v in report.verdicts:
             line = f"degree {v.degree}: {v.status}"
@@ -149,9 +154,9 @@ def _cmd_check_cwl(args) -> int:
             if report.overall
             else f"NOT componentwise linear (first failure at degree {report.failing_degree()})"
         )
-        if report.certificate:
+        if certificate:
             print("linear-quotients certificate:")
-            print(_wrap([str(m) for m in report.certificate]))
+            print(_wrap([str(m) for m in certificate]))
     return 0 if report.overall else 1
 
 

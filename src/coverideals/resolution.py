@@ -44,10 +44,11 @@ its end sizes certifies, which needs mod-2 homology there (the RP^2
 triangulation), is ranked again exactly.
 
 ``betti_table(engine="auto")`` uses the Taylor engine up to ``TAYLOR_CAP``
-generators and the Koszul engine past it.  Linear resolutions,
-componentwise linearity, linear quotients (with order search), the
-polymatroidal exchange condition, and first-syzygy degree bounds are
-layered on top.
+generators and the Koszul engine past it.  Linear resolutions and
+componentwise linearity are decided on top of the Betti tables.  Linear
+quotients (with order search), the polymatroidal exchange condition, and
+first-syzygy degree bounds read the generators alone; a linear-quotients
+order certifies componentwise linearity with no Betti number.
 """
 
 from __future__ import annotations
@@ -715,14 +716,14 @@ class DegreeVerdict(namedtuple("DegreeVerdict", "degree status offending", defau
 
 
 class CwlReport(namedtuple(
-    "CwlReport", "nvars field verdicts overall vacuous certificate", defaults=(False, None)
+    "CwlReport", "nvars field verdicts overall vacuous", defaults=(False,)
 )):
     """Per-degree linearity verdicts plus the overall decision.
 
     ``verdicts`` is a tuple of ``DegreeVerdict`` in ascending degree;
-    ``certificate`` carries a linear-quotients order (a tuple of monomials)
-    when one was found, which certifies the verdict independently of the
-    Betti computation.
+    ``vacuous`` marks the zero ideal, which passes with no degree checked.
+    A linear-quotients certificate, which settles the verdict without any
+    Betti number, is ``find_linear_quotient_order``'s to find.
     """
 
     __slots__ = ()
@@ -745,9 +746,6 @@ class CwlReport(namedtuple(
             "overall": self.overall,
             "vacuous": self.vacuous,
             "per_degree": per_degree,
-            "certificate": (
-                [str(m) for m in self.certificate] if self.certificate else None
-            ),
         }
 
 
@@ -756,7 +754,6 @@ def is_componentwise_linear(
     field: FieldChoice = RATIONALS,
     engine: str = "auto",
     budget: int = 0,
-    with_certificate: bool = True,
 ) -> CwlReport:
     """Check a linear resolution for every degree component of the ideal.
 
@@ -801,12 +798,7 @@ def is_componentwise_linear(
         ok, offending = has_linear_resolution(comp, field, engine)
         verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
     overall = all(v.status != "not linear" for v in verdicts)
-    certificate = None
-    if with_certificate and overall:
-        order = find_linear_quotient_order(ideal, strategy="deglex")
-        if order is not None:
-            certificate = tuple(order)
-    return CwlReport(ideal.nvars, field, tuple(verdicts), overall, certificate=certificate)
+    return CwlReport(ideal.nvars, field, tuple(verdicts), overall)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +840,7 @@ def find_linear_quotient_order(
 ) -> Optional[list[Monomial]]:
     """Search for a generator listing with linear quotients.
 
-    ``deglex`` sorts once and tests; ``backtracking`` explores every
+    ``deglex`` tests the stored deglex listing; ``backtracking`` explores every
     degree-nondecreasing listing with failed-prefix memoization, and raises
     CapacityError past ``BACKTRACKING_CAP`` (20) generators.  Either way a
     returned order passes ``linear_quotients_check``; None means the search
@@ -860,7 +852,11 @@ def find_linear_quotient_order(
     if len(gens) == 1:
         return gens
     if strategy == "deglex":
-        return gens if linear_quotients_check(gens).ok else None
+        # an ideal's generators are distinct and minimal, so only the colon
+        # ideals are left to check
+        ok = all(m.degree == 1
+                 for k in range(1, len(gens)) for m in _colon(gens[:k], gens[k]))
+        return gens if ok else None
     if strategy != "backtracking":
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(gens) > BACKTRACKING_CAP:

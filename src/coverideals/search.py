@@ -191,9 +191,7 @@ def _decide(G: SimpleGraph, t: int, config: SweepConfig) -> tuple:
     """(cwl, failing degree, generator count, status) of one graph at t."""
     try:
         ideal = cover_ideal(G, t)
-        report = is_componentwise_linear(
-            ideal, config.field, budget=config.row_budget, with_certificate=False
-        )
+        report = is_componentwise_linear(ideal, config.field, budget=config.row_budget)
     except CapacityError as exc:
         return None, None, None, f"skipped: capacity ({exc})"
     return report.overall, report.failing_degree(), len(ideal.generators), "ok"

@@ -517,3 +517,36 @@ def test_json_outputs_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    ("check-cwl --complete 4 --t 3", 0,
+     "degree 7: linear\n"
+     "degree 8: linear\n"
+     "degree 9: linear\n"
+     "componentwise linear\n"
+     "linear-quotients certificate:\n"
+     "  x1*x2^2*x3^2*x4^2, x1^2*x2*x3^2*x4^2, x1^2*x2^2*x3*x4^2, x1^2*x2^2*x3^2*x4,\n"
+     "  x2^3*x3^3*x4^3, x1^3*x3^3*x4^3, x1^3*x2^3*x4^3, x1^3*x2^3*x3^3\n"),
+    ("check-cwl --counterexample --t 2", 1,
+     "degree 4: not linear (offending beta at i=1, j=6)\n"
+     "degree 5: linear\n"
+     "degree 6: linear\n"
+     "NOT componentwise linear (first failure at degree 4)\n"),
+])
+def test_check_cwl_text_is_pinned(capsys, argv, code, text):
+    # a pass prints its linear-quotients certificate, a failure none
+    assert run(capsys, *argv.split()) == (code, text, "")
+
+
+def test_check_cwl_zero_ideal_passes_with_no_certificate(tmp_path, capsys):
+    # the zero ideal has no generator listing to certify
+    f = tmp_path / "zero.ideal"
+    f.write_text("vars 2\n")
+    assert run(capsys, "check-cwl", "--ideal", str(f)) == (0, "componentwise linear\n", "")
+    assert run(capsys, "check-cwl", "--ideal", str(f), "--format", "json") == (
+        0,
+        '{"certificate": null, "field": "Q", "overall": true, "per_degree": [], '
+        '"vacuous": true}\n',
+        "",
+    )

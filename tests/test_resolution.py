@@ -25,6 +25,7 @@ from coverideals.resolution import (
     DegreeVerdict,
     FieldChoice,
     betti_table,
+    find_linear_quotient_order,
     first_syzygy_degrees,
     has_linear_resolution,
     is_componentwise_linear,
@@ -80,8 +81,8 @@ def test_records_are_hashable_immutable_values():
     assert DegreeVerdict(2, "linear").offending is None
     report = CwlReport(4, F2, (verdict,), False)
     assert report == CwlReport(4, FieldChoice(2), (DegreeVerdict(4, "not linear", (1, 6)),), False)
-    assert hash(report) == hash(CwlReport(4, F2, (verdict,), False, False, None))
-    assert (report.vacuous, report.certificate, report.failing_degree()) == (False, None, 4)
+    assert hash(report) == hash(CwlReport(4, F2, (verdict,), False, False))
+    assert (report.vacuous, report.failing_degree()) == (False, 4)
     quotients = resolution.linear_quotients_check([M(1, 0), M(0, 1)])
     assert quotients == resolution.QuotientsResult(True, ((M(1, 0),),))
     for record, name in ((RATIONALS, "p"), (verdict, "status"), (report, "overall"),
@@ -1101,10 +1102,11 @@ def _degree_d_monomials(n, d):
 # componentwise linearity
 
 def test_counterexample_t1_is_cwl():
-    report = is_componentwise_linear(cover_ideal(counterexample_graph(), 1))
+    ideal = cover_ideal(counterexample_graph(), 1)
+    report = is_componentwise_linear(ideal)
     assert report.overall
     assert [v.status for v in report.verdicts] == ["linear", "linear"]
-    assert report.certificate is not None
+    assert find_linear_quotient_order(ideal) is not None
 
 
 def test_counterexample_t2_fails_at_degree4():
@@ -1230,7 +1232,7 @@ def test_gap_degree_verdicts_match_brute_force(monkeypatch, field):
         if I.is_zero():
             continue
         expected = brute_force_verdicts(I, field)
-        report = is_componentwise_linear(I, field, with_certificate=False)
+        report = is_componentwise_linear(I, field)
         assert report.verdicts == expected, I.generators
 
 
@@ -1257,13 +1259,14 @@ def test_betti_tables_only_where_not_settled(monkeypatch, I, computed):
         return has_linear_resolution(comp, *args)
 
     monkeypatch.setattr(resolution, "has_linear_resolution", counting)
-    is_componentwise_linear(I, with_certificate=False)
+    is_componentwise_linear(I)
     assert tables == computed
 
 
 def test_cwl_report_json_schema():
     report = is_componentwise_linear(cover_ideal(counterexample_graph(), 2))
     out = report.to_json_dict()
+    assert set(out) == {"field", "overall", "vacuous", "per_degree"}
     assert out["overall"] is False
     assert {"degree", "verdict"} <= set(out["per_degree"][0])
     offending = [e for e in out["per_degree"] if e["verdict"] == "not linear"]

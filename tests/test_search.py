@@ -157,7 +157,7 @@ def test_records_match_fresh_verdicts():
     records, _ = sweep(SweepConfig(n_min=3, n_max=4, t_set=(1, 2)))
     for r in records:
         ideal = cover_ideal(SimpleGraph(r.n, r.edges), r.t)
-        fresh = is_componentwise_linear(ideal, with_certificate=False)
+        fresh = is_componentwise_linear(ideal)
         assert r.cwl == fresh.overall
         assert r.failing_degree == fresh.failing_degree()
         assert r.generator_count == len(ideal.generators)
