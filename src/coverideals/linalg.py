@@ -45,11 +45,7 @@ def matrix_rank(
 
 
 def _content_reduce(col: dict) -> None:
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    g = gcd(*col.values())
     if g > 1:
         for r in col:
             col[r] //= g

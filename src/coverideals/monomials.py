@@ -3,8 +3,9 @@
 A monomial is an exponent vector over a fixed number of ring variables
 x1..xn; a monomial ideal is its unique minimal generating set.  Everything
 here is integer arithmetic: divisibility, lcm/gcd, minimal generators,
-intersections, colon ideals, degree components, and the degree-lex
-order used to list generators canonically.  Exponents are checked where
+colon ideals, degree components, and the degree-lex order used to list
+generators canonically.  The one intersection the package computes, the
+cover ideal's, is ``graphs.cover_ideal``.  Exponents are checked where
 monomials enter (``Monomial(...)``, ``parse_monomial``, ``*``), not again in
 what is computed from them: lcms, gcds, quotients, colons and components.
 
@@ -247,17 +248,6 @@ class MonomialIdeal:
         gens = ", ".join(str(g) for g in self.generators)
         return f"MonomialIdeal({self.nvars}, <{gens}>)"
 
-    def _check_same_ring(self, other: "MonomialIdeal") -> None:
-        if self.nvars != other.nvars:
-            raise DimensionError(
-                f"ideals in {self.nvars} and {other.nvars} variables"
-            )
-
-    def contains(self, m: Monomial) -> bool:
-        if m.nvars != self.nvars:
-            raise DimensionError(f"monomial in {m.nvars} variables, expected {self.nvars}")
-        return any(g.divides(m) for g in self.generators)
-
     def degrees(self) -> list[int]:
         return [g.degree for g in self.generators]
 
@@ -273,13 +263,6 @@ class MonomialIdeal:
 
     def is_equigenerated(self) -> bool:
         return self.is_zero() or self.min_degree() == self.max_degree()
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_same_ring(other)
-        return minimalize(
-            self.nvars,
-            (f.lcm(g) for f in self.generators for g in other.generators),
-        )
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
         """The colon ideal self : f, so m is in it iff m*f is in self."""

@@ -620,22 +620,11 @@ def _rearrangements(classes: list[list[int]], equal: tuple[bool, ...]) -> list:
 
 def _distinct_orders(word: list[int]) -> list[tuple[int, ...]]:
     """The distinct orders of a nondecreasing list, in lexicographic order:
-    each is the one before with the shortest suffix that has a larger order
-    replaced by the least such order (Knuth, TAOCP 4A, Algorithm 7.2.1.2L)."""
-    w = list(word)
-    orders = [tuple(w)]
-    while True:
-        i = len(w) - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
-            return orders
-        j = len(w) - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1:] = w[:i:-1]
-        orders.append(tuple(w))
+    each distinct value first, followed by the distinct orders of the rest."""
+    if not word:
+        return [()]
+    return [(v,) + rest for i, v in enumerate(word) if i == 0 or v != word[i - 1]
+            for rest in _distinct_orders(word[:i] + word[i + 1:])]
 
 
 def _pattern_masks(m: int) -> list[int]:

@@ -227,6 +227,28 @@ def test_betti_component_past_the_exponent_cap(tmp_path, capsys, text, degree, s
         3, "", stderr)
 
 
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ("check-cwl --ideal {x1} --t 2", 2, "", "error: --t only applies to graph sources\n"),
+        ("check-cwl --complete 4", 2, "", "error: graph sources need --t\n"),
+        ("quotients --complete 4 --order theorem", 2, "", "error: --order theorem needs --t\n"),
+        ("polymatroidal --ideal {zero}", 2, "",
+         "error: zero ideal has no degree components to check\n"),
+        # a degree below every generator's is a zero component, which holds
+        ("polymatroidal --complete 4 --t 2 --component 1 --format json", 0,
+         '{"components": [{"degree": 1, "ok": true, "witness": null, "zero": true}], '
+         '"overall": true}\n', ""),
+        ("polymatroidal --complete 4 --t 2 --component 1", 0, "degree 1: exchange holds\n", ""),
+    ],
+)
+def test_source_checks_and_zero_components(tmp_path, capsys, argv, code, out, err):
+    paths = {name: tmp_path / f"{name}.ideal" for name in ("x1", "zero")}
+    paths["x1"].write_text("vars 2\nx1\n")
+    paths["zero"].write_text("vars 2\n")
+    assert run(capsys, *(a.format(**paths) for a in argv.split())) == (code, out, err)
+
+
 def test_betti_koszul_box_capacity_exit_code(tmp_path, capsys):
     n = BOX_CAP.bit_length()  # x1..xn span a box of 2^n > BOX_CAP cells
     f = tmp_path / "vars.ideal"
@@ -550,3 +572,24 @@ def test_check_cwl_zero_ideal_passes_with_no_certificate(tmp_path, capsys):
         '"vacuous": true}\n',
         "",
     )
+
+
+@pytest.mark.parametrize("source, taylor_error", [
+    ("--counterexample --t 1", None),
+    ("--counterexample --t 2", "21 generators"),
+    ("--counterexample --t 3", "50 generators"),
+    ("--complete 4 --t 2", None),
+    ("--complete 5 --t 3", "120 generators"),
+])
+def test_check_cwl_engines_agree_or_taylor_stops_at_its_cap(capsys, source, taylor_error):
+    # perfbench/make_expected.py cross-checks every sweep row with both
+    # engines: each writes the default JSON, or Taylor exits 3 past its cap
+    default = run(capsys, "check-cwl", *source.split(), "--format", "json")
+    assert default[0] in (0, 1) and default[2] == ""
+    for engine in ("koszul", "taylor"):
+        got = run(capsys, "check-cwl", *source.split(), "--engine", engine, "--format", "json")
+        if engine == "taylor" and taylor_error:
+            assert got == (3, "", f"error: {taylor_error} exceeds the subset-complex cap 14; "
+                                  "use koszul_betti\n")
+        else:
+            assert got == default

@@ -1,7 +1,9 @@
 import random
 from itertools import combinations, permutations
+from operator import le
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverideals import search
 from coverideals.errors import CapacityError
@@ -253,6 +255,26 @@ def test_cover_ideal_methods_agree_k3_t2():
     assert cover_ideal(G, 2) == scan_ideal(G, 2)
     expected = {(1, 1, 1), (0, 2, 2), (2, 0, 2), (2, 2, 0)}
     assert set(m.exponents for m in cover_ideal(G, 2)) == expected
+
+
+def test_cover_ideal_of_two_edge_path():
+    # <x1, x2> ∩ <x1, x3> = <x1, x2x3>
+    I = cover_ideal(SimpleGraph(3, [(1, 2), (1, 3)]), 1)
+    assert [m.exponents for m in I] == [(1, 0, 0), (0, 1, 1)]
+
+
+graphs_2_to_5 = st.integers(2, 5).flatmap(lambda n: st.builds(
+    SimpleGraph, st.just(n), st.lists(st.sampled_from(list(combinations(range(1, n + 1), 2))))))
+
+
+@given(graphs_2_to_5, st.sampled_from((1, 2, 3)), st.lists(st.integers(0, 4), min_size=5, max_size=5))
+@settings(max_examples=150)
+def test_cover_ideal_membership_law(G, t, exps):
+    # m lies in the intersection of the <x_u, x_v>^t exactly when it lies in
+    # each of them, that is when m_u + m_v >= t on every edge
+    m = exps[: G.nvertices]
+    in_ideal = any(all(map(le, g.exponents, m)) for g in cover_ideal(G, t))
+    assert in_ideal == all(m[u - 1] + m[v - 1] >= t for u, v in G.edges)
 
 
 def relabel(G, perm):

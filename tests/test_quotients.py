@@ -1,3 +1,6 @@
+import random
+from itertools import chain, groupby, permutations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,3 +232,41 @@ def test_k42_top_component_fails_exchange():
 def test_exchange_requires_equigenerated():
     with pytest.raises(NotEquigeneratedError):
         polymatroidal_check(ideal(2, (1, 0), (0, 2)))
+
+
+def brute_force_order_exists(I):
+    """Some degree-nondecreasing listing of I's generators has linear
+    quotients: every order within each degree, checked one by one."""
+    blocks = [list(group) for _, group in groupby(I.generators, key=lambda m: m.degree)]
+    return any(
+        linear_quotients_check(list(chain.from_iterable(listing))).ok
+        for listing in product(*map(permutations, blocks))
+    )
+
+
+def test_backtracking_failed_prefix_memo():
+    # <x3^3, x1x2x3, x1x2^2, x1^3> reaches failed sets of chosen generators
+    # again by other orders, and has no listing with linear quotients
+    I = ideal(3, (0, 0, 3), (1, 1, 1), (1, 2, 0), (3, 0, 0))
+    assert find_linear_quotient_order(I, strategy="backtracking") is None
+    assert not brute_force_order_exists(I)
+    # the chosen set {x2x5x6, x2x3x6, x3x4x6, x3x4x5} has linear quotients but
+    # fails, and {x2x5x6, x2x3x6, x3x4x6, x1x2x5} goes on to an order: the
+    # memo must be keyed by the set, not by its size (a search of small
+    # ideals on 3 to 5 variables found none that tells the two apart)
+    I = ideal(6, (0, 1, 0, 0, 1, 1), (0, 0, 1, 1, 0, 1), (1, 0, 0, 1, 0, 1),
+              (0, 1, 1, 0, 0, 1), (0, 0, 1, 1, 1, 0), (1, 0, 0, 1, 1, 0),
+              (1, 1, 0, 0, 1, 0), (1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0))
+    order = find_linear_quotient_order(I, strategy="backtracking")
+    assert order is not None and linear_quotients_check(order).ok
+    assert not linear_quotients_check(list(I.generators)).ok
+    rng = random.Random(20231)
+    for _ in range(150):
+        n = rng.randint(3, 4)
+        J = MonomialIdeal(n, [Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+                              for _ in range(rng.randint(4, 7))])
+        order = find_linear_quotient_order(J, strategy="backtracking")
+        assert (order is not None) == brute_force_order_exists(J), J
+        if order is not None:
+            assert sorted(order) == list(J.generators)
+            assert linear_quotients_check(order).ok
