@@ -26,14 +26,13 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   built as words over the twins' values where fewer than the lattice's
   points, else filtered from them; the rest of an orbit is listed only if
   the multigraded entries are read, as the coarse ones need only its size.
-  Membership is a bit plane over the compressed divisor box, which keeps on
-  each axis only the generator exponents in its variable, plus 0.  The
-  representatives are grouped by support, and each face pattern's
-  membership bit is gathered for all of a support's points at once; each
-  distinct complex is screened for being a cone, which is contractible
-  (Hatcher, Algebraic Topology, ch. 0), and otherwise has its homology
-  computed once.  A box past ``BOX_CAP`` cells raises CapacityError before
-  anything is allocated.
+  Membership is a bit plane over the compressed divisor box (on each axis
+  the generator exponents in its variable, plus 0), one per call, which
+  also gives the lattice.  The representatives are grouped by support, and
+  each face pattern's membership bit is gathered for all of a support's
+  points at once.  Each distinct complex is matched on one vertex, and only
+  the faces left unmatched reach ``_homology``, once (none: a cone).  A box
+  past ``BOX_CAP`` cells raises CapacityError before anything is allocated.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
 reads them, so no boundary matrix is held whole.  Over Q it ranks every
@@ -401,9 +400,8 @@ class _DivisorBox:
     __slots__ = ("size", "values", "strides", "offsets", "up", "gens", "member")
 
     def __init__(self, ideal: MonomialIdeal):
-        n = ideal.nvars
         exps = [g.exponents for g in ideal.generators]
-        self.values = values = [sorted({0, *(e[i] for e in exps)}) for i in range(n)]
+        self.values = values = [sorted({0, *c}) for c in zip(*exps)] or [[0]] * ideal.nvars
         lengths = [len(v) for v in values]
         self.size = size = prod(lengths)
         if size > BOX_CAP:
@@ -411,16 +409,23 @@ class _DivisorBox:
                 f"the compressed divisor box has {size} cells, beyond the "
                 f"lcm-lattice engine's cap {BOX_CAP}"
             )
-        self.strides = strides = [prod(lengths[i + 1:]) for i in range(n)]
+        self.strides = strides = [prod(lengths[i + 1:]) for i in range(len(values))]
         # offsets[i][v]: index step to grid value v on axis i (v <= EXPONENT_CAP)
         self.offsets = [[bisect_left(vs, v) * s for v in range(vs[-1] + 1)]
                         for vs, s in zip(values, strides)]
         # axis i repeats blocks of length * stride cells whose first stride
-        # cells sit at position 0 (a binary string puts bit 0 last)
-        self.up = [int(("1" * (s * (l - 1)) + "0" * s) * (size // (s * l)), 2)
-                   for s, l in zip(strides, lengths)]
-        self.gens = sum(1 << self.index(e) for e in exps)
-        self.member = self.sweep(self.gens, range(n))
+        # cells sit at position 0; one block is doubled until it spans the box
+        self.up = []
+        for s, l in zip(strides, lengths):
+            up, width = (1 << s * l) - (1 << s), s * l
+            while width < size:
+                up, width = up | up << width, 2 * width
+            self.up.append(up & (1 << size) - 1)
+        bits = bytearray(size + 7 >> 3)  # read little-endian, bit idx is cell idx
+        for idx in map(self.index, exps):
+            bits[idx >> 3] |= 1 << (idx & 7)
+        self.gens = int.from_bytes(bits, "little")
+        self.member = self.sweep(self.gens, range(len(values)))
 
     def index(self, exps: Sequence[int]) -> int:
         """Index of the cell of an exponent vector made of grid values."""
@@ -442,15 +447,18 @@ class _DivisorBox:
         return bits.translate(bytes.maketrans(b"01", b"\0\1"))
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+def lcm_lattice(ideal: MonomialIdeal, *,
+                box: Optional[_DivisorBox] = None) -> list[tuple[int, ...]]:
     """All lcms of non-empty generator subsets (the only multidegrees where
-    Betti numbers can live), sorted: the cells of the divisor box that, on
-    each axis i of their support, lie in ``gens`` swept up every axis but i
-    (the cells that some generator dividing them attains on axis i)."""
-    box = _DivisorBox(ideal)
-    lattice = box.member
-    for i in range(ideal.nvars):
-        lattice &= box.sweep(box.gens, {*range(ideal.nvars)} - {i}) | ~box.up[i]
+    Betti numbers can live), sorted: the cells of the divisor box (``box``,
+    if the caller built it) that, on each axis i of their support, lie in
+    ``gens`` swept up every axis but i (the cells some generator dividing
+    them attains on axis i); ``prefix`` holds the sweep of the axes before i."""
+    box = _DivisorBox(ideal) if box is None else box
+    lattice, prefix = box.member, box.gens
+    for i in range(len(box.values)):
+        lattice &= box.sweep(prefix, range(i + 1, len(box.values))) | ~box.up[i]
+        prefix = box.sweep(prefix, (i,))
     # index order is row-major, the order in which product walks the grid
     return list(compress(product(*box.values), box.flags(lattice)))
 
@@ -466,7 +474,7 @@ def koszul_betti(
     {b <= support(a) : x^(a-b) in I} (Miller-Sturmfels, Combinatorial
     Commutative Algebra, Thm 1.34).  As exponents are grid values, x^(a-b)
     is in I iff the divisor-box cell one step down every axis of b is in
-    the membership plane.
+    the membership plane; the same box gives ``lcm_lattice`` its planes.
 
     Variables x_i and x_j are twins when swapping them maps the minimal
     generators onto themselves (``_twin_classes``).  Such a swap fixes I, so
@@ -487,12 +495,13 @@ def koszul_betti(
     one ``itemgetter`` over the membership flags reads pattern k's bit for
     every point of the support at once.  A point's bits form its complex's
     face bitset (bit k for pattern k), and each distinct bitset is handled
-    once per call.  A complex in which some vertex v, added to any face
-    lacking it, gives a face (``_is_cone``) is the join of v with the faces
-    lacking v, a cone, so contractible (Hatcher, Algebraic Topology, 2002,
-    ch. 0): its reduced homology vanishes over every field, and it never
-    reaches ``_homology``.  The empty face that this needs is always
-    present, as the lattice point lies in I.
+    once per call.  Such a complex K holds the empty face, as the point is
+    in I, so the star of a vertex v of K is a cone, hence acyclic, and the
+    reduced homology of K is that of the pair (K, star): the faces lacking
+    v whose union with v is no face, the boundary restricted to them (the
+    critical faces of the Morse matching of each other face with its union
+    with v; Forman, Adv. Math. 134, 1998).  Only those, for the v leaving
+    fewest (``_critical_faces``), reach ``_homology``; none means a cone.
 
     The table keeps each representative that carries a Betti number with
     its ranks; coarse entries weigh them by orbit size, all a linearity
@@ -504,7 +513,7 @@ def koszul_betti(
     """
     box = _DivisorBox(ideal)
     member = memoryview(box.flags(box.member))
-    points = lcm_lattice(ideal)
+    points = lcm_lattice(ideal, box=box)
     classes = _twin_classes(ideal)
     twins = [(i, j) for cls in classes for i, j in zip(cls, cls[1:])]
     grids = [box.values[cls[0]] for cls in classes]  # twins share grid values
@@ -521,7 +530,7 @@ def koszul_betti(
         by_support[tuple(map(bool, a))].append(a)
     homology: dict[int, tuple[tuple[int, int], ...]] = {}  # face bitset -> nonzero ranks
     known: dict[tuple, tuple[tuple[int, int], ...]] = {}  # the same by the bits as read
-    masks: dict[int, list[int]] = {}  # _pattern_masks by support size
+    digits = bytes.maketrans(b"\0\1", b"01")
     orbits = defaultdict(list)  # (representative, ranks) by equal twins
     for support, reps in by_support.items():
         # steps[k]: index distance one step down every support axis in pattern k
@@ -529,23 +538,19 @@ def koszul_betti(
         for s in compress(box.strides, support):
             steps += [d + s for d in steps]
         low = steps[-1]  # to the lowest cell any face reads
+        without = _pattern_masks(sum(support))
         gather = itemgetter(*[box.index(a) - low for a in reps])
         bits = [gather(member[low - d:]) for d in steps]
         # itemgetter of one index returns the bare item, not a 1-tuple
         for a, key in zip(reps, zip(*bits) if reps[1:] else [tuple(bits)]):
             ranks = known.get(key)
             if ranks is None:
-                patterns = list(compress(range(len(key)), key))
-                faces = sum(1 << k for k in patterns)
+                faces = int(bytes(key)[::-1].translate(digits), 2)  # bit k: pattern k
                 if faces not in homology:
-                    m = sum(support)
-                    if m not in masks:
-                        masks[m] = _pattern_masks(m)
-                    if _is_cone(faces, masks[m]):
-                        homology[faces] = ()
-                    else:
-                        found = _homology(patterns, field)
-                        homology[faces] = tuple((i, r) for i, r in found.items() if r)
+                    critical = _critical_faces(faces, without)
+                    patterns = [k for k in range(critical.bit_length()) if critical >> k & 1]
+                    found = _homology(patterns, field) if critical else {}  # none: a cone
+                    homology[faces] = tuple((i, r) for i, r in found.items() if r)
                 ranks = known[key] = homology[faces]
             if ranks:
                 # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
@@ -633,14 +638,12 @@ def _pattern_masks(m: int) -> list[int]:
     return [int(("0" * (1 << v) + "1" * (1 << v)) * (1 << (m - v - 1)), 2) for v in range(m)]
 
 
-def _is_cone(faces: int, without: list[int]) -> bool:
-    """Does ``faces`` hold the empty face and a vertex v that, added to any
-    face lacking it, gives a face?  Shifting patterns by 1 << v adds v.  A
-    family holding the empty set and each set between two members is a
-    simplicial complex, and then a cone with apex v."""
-    return bool(faces & 1) and any(
-        ((faces & w) << (1 << v)) & ~faces == 0 for v, w in enumerate(without)
-    )
+def _critical_faces(faces: int, without: list[int]) -> int:
+    """The faces of the simplicial complex ``faces`` (a pattern bitset) that
+    lack v and whose union with v (a shift down by 1 << v) is no face, for
+    the vertex v that leaves fewest; every face on no vertex."""
+    return min((faces & w & ~(faces >> (1 << v)) for v, w in enumerate(without)),
+               key=int.bit_count, default=faces)
 
 
 def betti_table(
@@ -666,10 +669,7 @@ def first_syzygy_degrees(ideal: MonomialIdeal) -> list[int]:
     minimal resolution sits inside the subset-complex resolution, whose
     first-syzygy slots are the generator pairs.
     """
-    gens = ideal.generators
-    return sorted(
-        f.lcm(g).degree for f, g in combinations(gens, 2)
-    )
+    return sorted(f.lcm(g).degree for f, g in combinations(ideal.generators, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +835,8 @@ def find_linear_quotient_order(
     returned order passes ``linear_quotients_check``; None means the search
     failed.
     """
+    if strategy not in ("deglex", "backtracking"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if ideal.is_zero():
         raise ValueError("zero ideal has no generator ordering")
     gens = list(ideal.generators)
@@ -846,8 +848,6 @@ def find_linear_quotient_order(
         ok = all(m.degree == 1
                  for k in range(1, len(gens)) for m in _colon(gens[:k], gens[k]))
         return gens if ok else None
-    if strategy != "backtracking":
-        raise ValueError(f"unknown strategy {strategy!r}")
     if len(gens) > BACKTRACKING_CAP:
         raise CapacityError(
             f"backtracking over {len(gens)} generators exceeds the cap "

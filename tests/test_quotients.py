@@ -82,17 +82,27 @@ def test_backtracking_finds_no_order_for_full_counterexample_t2():
 
 
 def test_backtracking_recovers_from_bad_deglex_prefix():
-    # x^2, xy, y^3: deglex starts x^2, xy whose colon at y^3 is <x^2,xy>:y^3...
-    # actually <x^2>:<xy> colon = <x>, then <x^2,xy>:y^3 = <x>; this passes.
-    # use an ideal where the deglex order fails but a permuted same-degree
-    # order works: classic <ab, cd, ac> in 4 vars ordered ab,ac,cd works.
-    I = ideal(4, (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0))
-    deglex_ok = linear_quotients_check(list(I.generators)).ok
+    # the deglex listing of this ideal fails, and backtracking finds another
+    # degree-nondecreasing listing of the same generators that passes
+    I = ideal(6, (0, 1, 0, 0, 1, 1), (0, 0, 1, 1, 0, 1), (1, 0, 0, 1, 0, 1),
+              (0, 1, 1, 0, 0, 1), (0, 0, 1, 1, 1, 0), (1, 0, 0, 1, 1, 0),
+              (1, 1, 0, 0, 1, 0), (1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0))
+    assert not linear_quotients_check(list(I.generators)).ok
+    assert find_linear_quotient_order(I, strategy="deglex") is None
     order = find_linear_quotient_order(I, strategy="backtracking")
-    assert order is not None
-    assert linear_quotients_check(order).ok
-    if not deglex_ok:
-        assert order != list(I.generators)
+    assert order is not None and linear_quotients_check(order).ok
+    assert order != list(I.generators) and sorted(order) == list(I.generators)
+
+
+def test_unknown_strategy_is_refused_whatever_the_generator_count():
+    # <x1> has one generator, which is its own listing, yet the strategy is
+    # checked first, as for two generators
+    messages = []
+    for I in (ideal(2, (1, 0), (0, 1)), ideal(1, (1,))):
+        with pytest.raises(ValueError) as refused:
+            find_linear_quotient_order(I, strategy="bogus")
+        messages.append(str(refused.value))
+    assert messages == ["unknown strategy 'bogus'"] * 2
 
 
 def minimalized_colon(prefix, f):

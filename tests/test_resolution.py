@@ -431,6 +431,45 @@ def test_divisor_box_planes_on_edge_cases(I):
     assert_koszul_matches_oracles(I)
 
 
+def brute_force_planes(I):
+    """(up, gens, member) of the divisor box cell by cell, cells numbered
+    in the order ``product`` walks the grid values (the last axis fastest):
+    up[i] holds the cells off the least value of axis i, gens the
+    generators, member the cells some generator divides."""
+    gens = [g.exponents for g in I.generators]
+    values = [sorted({0, *(e[i] for e in gens)}) for i in range(I.nvars)]
+    up, gen_plane, member = [0] * I.nvars, 0, 0
+    for idx, cell in enumerate(product(*values)):
+        for i, x in enumerate(cell):
+            if x:
+                up[i] |= 1 << idx
+        if cell in gens:
+            gen_plane |= 1 << idx
+        if any(all(e <= x for e, x in zip(g, cell)) for g in gens):
+            member |= 1 << idx
+    return up, gen_plane, member
+
+
+def test_divisor_box_planes_match_a_per_cell_brute_force():
+    rng = random.Random(2402)
+    corpus = [*EDGE_IDEALS[:7], *EDGE_IDEALS[13:16]]
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        corpus.append(MonomialIdeal(n, [
+            Monomial(tuple(rng.randint(0, 4) for _ in range(n)))
+            for _ in range(rng.randint(1, 8))
+        ]))
+    sizes, strides = set(), set()
+    for I in corpus:
+        box = resolution._DivisorBox(I)
+        assert (box.up, box.gens, box.member) == brute_force_planes(I), I
+        sizes.add(box.size)
+        strides.update(box.strides)
+    # one-cell boxes (the unit and zero ideals), and planes of many 64-bit
+    # words shifted by more than one
+    assert 1 in sizes and max(strides) > 64
+
+
 def taylor_strata(I):
     """Non-empty generator subsets, as bitmasks in ascending order, grouped
     by the exponent vector of their lcm."""
@@ -552,64 +591,101 @@ def unscreened_koszul(I, field, homology):
     return table
 
 
+def simplicial_complexes(m):
+    """Every simplicial complex on the vertices 0..m-1 that holds the empty
+    face, as a face bitset (bit k for pattern k): the families holding the
+    empty set and, with each member, the member less any one vertex."""
+    out = []
+    for faces in range(1, 1 << (1 << m), 2):
+        held = set(_members(faces))
+        if all(k & ~(1 << v) in held for k in held for v in range(m)):
+            out.append(faces)
+    return out
+
+
+def reduced_ranks(faces, field, homology=resolution._homology):
+    """The nonzero ranks of the homology routine (bound here, so that no
+    recording stand-in sees these calls)."""
+    return {size: h for size, h in homology(faces, field).items() if h}
+
+
 @pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
 def test_koszul_cone_screen_is_sound(monkeypatch, field):
-    homology, is_cone = resolution._homology, resolution._is_cone
-    screened, tested, computed = [], [], []
+    # Each complex is matched on one vertex v: a face lacking v is paired
+    # with its union with v where that is a face.  The unpaired (critical)
+    # faces carry the complex's reduced homology, and none are left on a cone.
+    homology, critical_faces = resolution._homology, resolution._critical_faces
+    tested, computed = [], []
 
-    def recording_screen(faces, without):
-        cone = is_cone(faces, without)
-        tested.append((faces, len(without), cone))
-        if cone:
-            screened.append((faces, len(without)))
-        return cone
+    def recording_matching(faces, without):
+        critical = critical_faces(faces, without)
+        tested.append((faces, len(without), critical))
+        return critical
 
     def recording_homology(faces, over):
         computed.append(tuple(faces))
         return homology(computed[-1], over)
 
-    monkeypatch.setattr(resolution, "_is_cone", recording_screen)
+    monkeypatch.setattr(resolution, "_critical_faces", recording_matching)
     monkeypatch.setattr(resolution, "_homology", recording_homology)
     corpus = [*_cone_corpus(), projective_plane_ideal(), *K5_T3_COMPONENTS]
-    fired = []
+    fired, shrunk = [], []
     for I in corpus:
-        screened.clear()
+        tested.clear()
         computed.clear()
         table = koszul_betti(I, field)
-        # a screened complex is a cone, holds the empty face, has no
-        # homology, and never reaches the homology routine
-        for faces, m in screened:
-            assert is_cone_family(_members(faces), m), (I, faces)
-            assert not any(homology(_members(faces), field).values()), (I, faces)
-            assert tuple(_members(faces)) not in computed, (I, faces)
-        fired.append(len(screened))
+        # the homology routine sees critical faces only
+        assert sorted(computed) == sorted(tuple(_members(c)) for _, _, c in tested if c), I
+        shrunk.append((sum(map(len, computed)), sum(f.bit_count() for f, _, c in tested if c)))
+        for faces, m, critical in tested:
+            members = _members(faces)
+            # a recorded complex holds the empty face, as its point is in I;
+            # its critical faces are some of its faces and keep its homology
+            assert faces & 1 and critical & ~faces == 0, (I, faces)
+            assert reduced_ranks(_members(critical), field) == reduced_ranks(members, field)
+            # no critical face: a cone, which never reaches the homology routine
+            assert (critical == 0) == is_cone_family(members, m), (I, faces)
+        fired.append(sum(not c for _, _, c in tested))
         assert table.multigraded == unscreened_koszul(I, field, homology), I
         if len(I) <= TAYLOR_CAP:
             assert table == taylor_strand_betti(I, field), I
-    # the screen flags exactly the cones among the complexes it is shown
-    assert all(cone == is_cone_family(_members(f), m) for f, m, cone in tested)
-    # it fires on the degree-12 component, where Betti numbers are computed
-    assert fired[-1] > 0
+    # on the degree-12 component, where Betti numbers are computed, 6 of
+    # the 20 distinct complexes are cones, and the other 14 hand over 35
+    # of their 193 faces
+    assert (len(tested), fired[-1], len(computed), shrunk[-1]) == (20, 6, 14, (35, 193))
     if field == F2:
         degree_12 = K5_T3_COMPONENTS[-1]
         assert koszul_betti(degree_12, F2).multigraded == reference_betti_f2(
             degree_12, lcm_lattice(degree_12)
         )
-    # every family on at most 3 vertices that holds each set between two of
-    # its members (a chain complex for ``_homology``), the empty face or not
-    for m in range(4):
+    # every simplicial complex on at most 4 vertices
+    complexes = {m: simplicial_complexes(m) for m in range(5)}
+    assert len(complexes[4]) == 167  # the Dedekind number 168, less the void family
+    for m, family in complexes.items():
         without = resolution._pattern_masks(m)
-        for faces in range(1 << (1 << m)):
+        for faces in family:
             members = _members(faces)
-            if not all(
-                faces >> j & 1
-                for a in members for b in members if a & b == a
-                for j in range(1 << m) if a & j == a and j & b == j
-            ):
-                continue
-            assert is_cone(faces, without) == is_cone_family(members, m), (m, members)
-            if is_cone(faces, without):
-                assert not any(homology(members, field).values()), (m, members)
+            critical = critical_faces(faces, without)
+            assert (critical == 0) == is_cone_family(members, m), (m, members)
+            assert reduced_ranks(_members(critical), field) == reduced_ranks(members, field)
+
+
+def test_koszul_builds_one_divisor_box_per_call(monkeypatch):
+    # koszul_betti hands its box to lcm_lattice instead of building a second
+    boxes, lattices = [], []
+    box_class, lattice = resolution._DivisorBox, resolution.lcm_lattice
+    monkeypatch.setattr(resolution, "_DivisorBox", lambda I: boxes.append(I) or box_class(I))
+    monkeypatch.setattr(resolution, "lcm_lattice",
+                        lambda I, **kw: lattices.append(I) or lattice(I, **kw))
+    for I in [K5_T3_COMPONENTS[-1], projective_plane_ideal(), *EDGE_IDEALS[:7]]:
+        boxes.clear()
+        lattices.clear()
+        koszul_betti(I)
+        assert boxes == [I] and lattices == [I], I
+    # on its own, lcm_lattice still builds the box it needs
+    boxes.clear()
+    lcm_lattice(CONE_COMPONENT)
+    assert boxes == [CONE_COMPONENT]
 
 
 def test_twin_classes():
