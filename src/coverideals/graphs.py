@@ -121,30 +121,9 @@ def counterexample_graph() -> SimpleGraph:
     return SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
 
 
-def minimal_vertex_covers(G: SimpleGraph) -> list[tuple[int, ...]]:
-    """All inclusion-minimal vertex covers, each a sorted vertex tuple."""
-    if not G.edges:
-        return [()]
-    n = G.nvertices
-    if n > 20:
-        raise CapacityError(f"vertex-cover enumeration over {n} vertices")
-    edges = G.edge_list()
-    covers = []
-    for mask in range(1 << n):
-        if all(mask >> (u - 1) & 1 or mask >> (v - 1) & 1 for u, v in edges):
-            covers.append(mask)
-    cover_set = set(covers)
-    minimal = []
-    for mask in covers:
-        if not any((mask & ~(1 << b)) in cover_set for b in range(n) if mask >> b & 1):
-            minimal.append(mask)
-    return sorted(
-        tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1) for mask in minimal
-    )
-
-
 def minimal_t_covers(G: SimpleGraph, t: int) -> list[tuple[int, ...]]:
-    """All componentwise-minimal vectors a with a_i + a_j >= t on every edge.
+    """All componentwise-minimal vectors a with a_i + a_j >= t on every edge;
+    at t = 1 these are the minimal vertex covers, as 0/1 vectors.
 
     Entries are capped at t, which loses nothing: min(a, t) is a t-cover
     dividing a.  The vectors come from an exhaustive pruned scan of
@@ -175,12 +154,9 @@ def minimal_t_covers(G: SimpleGraph, t: int) -> list[tuple[int, ...]]:
             need = t - vec[u]
             if need > lo:
                 lo = need
-        if lo > t:
-            return
         for value in range(lo, t + 1):
             vec[k] = value
             extend(k + 1)
-        vec[k] = 0
 
     extend(1)
     adj = G.adjacency()

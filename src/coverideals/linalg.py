@@ -7,13 +7,16 @@ pivot column with the same highest nonzero row until that row, its pivot
 row, is fresh.  ``matrix_rank`` hands the pivot rows back on request, for
 clearing in chain complexes (Chen-Kerber, EuroCG 2011).
 
-Over the rationals the updates are fraction-free: columns stay integral and
-are divided by their content after every combination, which keeps entries
-small without ever rounding.  Over GF(p) for odd p arithmetic is plain
-modular.  Over GF(2) each column is packed into one Python int whose set
-bits are the rows of its odd entries, and reduction is XOR against the
-pivot column with the same highest set bit, as in persistent-homology codes
-(Bauer, "Ripser", J. Appl. Comput. Topol. 2021).
+Over Q and over GF(p) for odd p one fraction-free kernel serves both
+fields (Bareiss, Math. Comp. 22, 1968): a column is replaced by
+a*col - b*piv, where a and b are the entries of the pivot column and of
+the column in the pivot row, and is then divided by its content over Q,
+which keeps entries small without ever rounding, or reduced mod p over
+GF(p), where a is a unit and no inverse is needed.  Over GF(2) each column
+is packed into one Python int whose set bits are the rows of its odd
+entries, and reduction is XOR against the pivot column with the same
+highest set bit, as in persistent-homology codes (Bauer, "Ripser",
+J. Appl. Comput. Topol. 2021).
 """
 
 from __future__ import annotations
@@ -33,71 +36,38 @@ def matrix_rank(
     r where the rows from r up have larger rank than the rows above r.
     Input dicts are not modified.
     """
-    if p is None:
-        reduced = _rank_rationals(columns)
-    elif p == 2:
-        reduced = _rank_mod_2(columns)
-    else:
-        reduced = _rank_mod_p(columns, p)
+    reduced = _rank_mod_2(columns) if p == 2 else _rank_fraction_free(columns, p)
     if pivots is not None:
         pivots.update(reduced)
     return len(reduced)
 
 
-def _content_reduce(col: dict) -> None:
-    g = gcd(*col.values())
-    if g > 1:
-        for r in col:
-            col[r] //= g
-
-
-def _rank_rationals(columns: Iterable[dict]) -> dict[int, dict]:
+def _rank_fraction_free(columns: Iterable[dict], p: int | None) -> dict[int, dict]:
     pivots: dict[int, dict] = {}  # highest row -> pivot column
     for col in columns:
-        col = {r: v for r, v in col.items() if v}
+        col = _normalise(col, p)
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
-                _content_reduce(col)
                 pivots[low] = col
                 break
             a, b = piv[low], col[low]
             # col <- a*col - b*piv zeroes row `low` and only touches rows below it
-            new = {}
-            for r, v in col.items():
-                new[r] = a * v
+            new = {r: a * v for r, v in col.items()}
             for r, v in piv.items():
-                w = new.get(r, 0) - b * v
-                if w:
-                    new[r] = w
-                else:
-                    new.pop(r, None)
-            col = new
-            _content_reduce(col)
+                new[r] = new.get(r, 0) - b * v
+            col = _normalise(new, p)
     return pivots
 
 
-def _rank_mod_p(columns: Iterable[dict], p: int) -> dict[int, dict]:
-    pivots: dict[int, dict] = {}  # highest row -> pivot column
-    for col in columns:
-        col = {r: v % p for r, v in col.items() if v % p}
-        while col:
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                break
-            factor = (col[low] * pow(piv[low], p - 2, p)) % p
-            new = dict(col)
-            for r, v in piv.items():
-                w = (new.get(r, 0) - factor * v) % p
-                if w:
-                    new[r] = w
-                else:
-                    new.pop(r, None)
-            col = new
-    return pivots
+def _normalise(col: dict, p: int | None) -> dict:
+    """``col`` without its zero entries, divided by its content over Q or
+    reduced mod p over GF(p)."""
+    if p is None:
+        g = gcd(*col.values())
+        return {r: v // g for r, v in col.items() if v}
+    return {r: v % p for r, v in col.items() if v % p}
 
 
 def _rank_mod_2(columns: Iterable[dict]) -> dict[int, int]:

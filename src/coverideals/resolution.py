@@ -52,6 +52,7 @@ order certifies componentwise linearity with no Betti number.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
 from itertools import (
@@ -86,6 +87,7 @@ class FieldChoice(namedtuple("FieldChoice", "p", defaults=(None,))):
 
     def __new__(cls, p: Optional[int] = None):
         if p is not None:
+            p = operator.index(p)
             if p >= FIELD_BOUND:
                 raise ValueError(f"field size {p} is not below 2^31")
             if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
@@ -840,8 +842,6 @@ def find_linear_quotient_order(
     if ideal.is_zero():
         raise ValueError("zero ideal has no generator ordering")
     gens = list(ideal.generators)
-    if len(gens) == 1:
-        return gens
     if strategy == "deglex":
         # an ideal's generators are distinct and minimal, so only the colon
         # ideals are left to check

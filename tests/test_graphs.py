@@ -15,7 +15,6 @@ from coverideals.graphs import (
     format_graph,
     knt_closed_form,
     minimal_t_covers,
-    minimal_vertex_covers,
     parse_graph,
     theorem_order,
 )
@@ -125,15 +124,15 @@ def test_chordality_agrees_with_bruteforce_up_to_six_vertices():
 # covers
 
 def test_minimal_vertex_covers_triangle_and_path():
-    assert minimal_vertex_covers(complete_graph(3)) == [(1, 2), (1, 3), (2, 3)]
+    assert minimal_t_covers(complete_graph(3), 1) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     path = SimpleGraph(3, [(1, 2), (2, 3)])
-    assert minimal_vertex_covers(path) == [(1, 3), (2,)]
-    assert minimal_vertex_covers(SimpleGraph(2)) == [()]
+    assert minimal_t_covers(path, 1) == [(0, 1, 0), (1, 0, 1)]
+    assert minimal_t_covers(SimpleGraph(2), 1) == [(0, 0)]
 
 
 def test_minimal_vertex_covers_counterexample():
-    covers = minimal_vertex_covers(counterexample_graph())
-    assert covers == [(1, 2, 4), (1, 3, 4), (2, 3)]
+    covers = minimal_t_covers(counterexample_graph(), 1)
+    assert covers == [(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)]
 
 
 def test_minimal_t_covers_k3_t2():
@@ -146,16 +145,6 @@ def test_minimal_t_covers_counterexample_t2():
     assert minimal_t_covers(counterexample_graph(), 2) == [
         (0, 2, 2, 0), (1, 1, 1, 1), (2, 0, 2, 2), (2, 2, 0, 2)
     ]
-
-
-def test_t1_covers_match_vertex_covers():
-    for G in (counterexample_graph(), complete_graph(4),
-              SimpleGraph(4, [(1, 2), (3, 4)])):
-        indicators = sorted(
-            tuple(1 if v in cover else 0 for v in range(1, G.nvertices + 1))
-            for cover in minimal_vertex_covers(G)
-        )
-        assert minimal_t_covers(G, 1) == indicators
 
 
 def test_t_cover_minimality_is_pointwise():

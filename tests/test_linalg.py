@@ -72,7 +72,7 @@ def reference_pivot_rows(columns, p=None):
     return {r for r in {r for col in columns for r in col} if rank_from(r) > rank_from(r + 1)}
 
 
-@pytest.mark.parametrize("p", [None, 2, 3])
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 2**31 - 1])
 def test_matrix_rank_matches_reference_elimination(p):
     for columns in seeded_matrices(p):
         before = copy.deepcopy(columns)
@@ -80,7 +80,7 @@ def test_matrix_rank_matches_reference_elimination(p):
         assert columns == before
 
 
-@pytest.mark.parametrize("p", [None, 2, 3])
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 2**31 - 1])
 def test_matrix_rank_pivot_rows_match_reference(p):
     for columns in seeded_matrices(p):
         before = copy.deepcopy(columns)
@@ -92,22 +92,23 @@ def test_matrix_rank_pivot_rows_match_reference(p):
 
 
 def test_matrix_rank_even_and_negative_entries():
+    fields = (None, 2, 3, 5, 2**31 - 1)
     even = [{0: 2, 1: -4}, {1: 6}]
-    assert [matrix_rank(even, p) for p in (None, 2, 3)] == [2, 0, 1]
+    assert [matrix_rank(even, p) for p in fields] == [2, 0, 1, 2, 2]
     odd = [{0: -1, 1: 1}, {0: 1, 1: 1}]
-    assert [matrix_rank(odd, p) for p in (None, 2, 3)] == [2, 1, 2]
-    assert [matrix_rank([{0: -3}, {0: 5}], p) for p in (None, 2, 3)] == [1, 1, 1]
+    assert [matrix_rank(odd, p) for p in fields] == [2, 1, 2, 2, 2]
+    assert [matrix_rank([{0: -3}, {0: 5}], p) for p in fields] == [1, 1, 1, 1, 1]
 
 
 def test_matrix_rank_empty_and_one_shot_input():
-    for p in (None, 2, 3):
+    for p in (None, 2, 3, 5, 2**31 - 1):
         assert matrix_rank([], p) == 0
         assert matrix_rank([{}, {0: 0}], p) == 0
         assert matrix_rank(iter([{0: 1}, {1: 1}, {0: 1, 1: 1}]), p) == 2
 
 
 def test_matrix_rank_pivot_rows_of_empty_and_one_shot_input():
-    for p in (None, 2, 3):
+    for p in (None, 2, 3, 5, 2**31 - 1):
         pivots = set()
         assert matrix_rank([], p, pivots) == 0 and pivots == set()
         assert matrix_rank([{}, {0: 0}], p, pivots) == 0 and pivots == set()

@@ -59,9 +59,10 @@ def test_check_validates_input():
 
 
 def test_single_generator_trivially_succeeds():
-    I = ideal(2, (3, 1))
-    assert find_linear_quotient_order(I) == [M(3, 1)]
-    assert find_linear_quotient_order(I, "backtracking") == [M(3, 1)]
+    for exponents in ((3, 1), (1, 0), (0, 0)):
+        I = ideal(2, exponents)
+        assert find_linear_quotient_order(I) == [M(*exponents)]
+        assert find_linear_quotient_order(I, "backtracking") == [M(*exponents)]
 
 
 def test_deglex_strategy_matches_theorem_order_for_k32():

@@ -71,6 +71,10 @@ def test_field_choice_validation():
         FieldChoice(p=1 << 31)
     with pytest.raises(ValueError, match="^4 is not prime$"):
         FieldChoice(3)._replace(p=4)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        FieldChoice(3.0)
+    with pytest.raises(TypeError, match="^'str' object cannot be interpreted as an integer$"):
+        FieldChoice("3")
 
 
 def test_records_are_hashable_immutable_values():
