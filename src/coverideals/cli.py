@@ -31,7 +31,6 @@ from .graphs import (
     complete_graph,
     counterexample_graph,
     cover_ideal,
-    knt_closed_form,
     load_graph,
     theorem_order,
 )
@@ -107,12 +106,7 @@ def _wrap(items: list[str]) -> str:
 def _cmd_gens(args) -> int:
     if args.t is None or args.t < 1:
         raise ValueError("gens needs --t >= 1")
-    if args.closed_form:
-        if args.complete is None:
-            raise ValueError("--closed-form applies to --complete graphs only")
-        ideal = knt_closed_form(args.complete, args.t)
-    else:
-        ideal = cover_ideal(_resolve_graph(args), args.t)
+    ideal = cover_ideal(_resolve_graph(args), args.t)
     gens = [format_monomial(g) for g in ideal.generators]
     if args.format == "json":
         print(
@@ -272,7 +266,10 @@ def _cmd_polymatroidal(args) -> int:
 
 
 def _parse_t_set(text: str) -> tuple[int, ...]:
-    return tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
+    try:
+        return tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
+    except ValueError:
+        raise ValueError(f"bad --t list {text!r}: expected comma-separated integers") from None
 
 
 def _cmd_search(args) -> int:
@@ -301,11 +298,6 @@ def _cmd_search(args) -> int:
 
 def _configure_gens(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p, with_ideal=False)
-    p.add_argument(
-        "--closed-form",
-        action="store_true",
-        help="use the complete-graph closed form instead of intersecting",
-    )
     _add_format(p)
     p.set_defaults(func=_cmd_gens)
 
@@ -365,7 +357,7 @@ def _configure_search(p: argparse.ArgumentParser) -> None:
         "generators in all (default %(default)s; 0 = no budget)",
     )
     _add_field(p)
-    _add_format(p, formats=("jsonl", "json", "csv"))  # json means jsonl
+    _add_format(p, formats=("jsonl", "csv"))
     p.set_defaults(func=_cmd_search)
 
 

@@ -255,12 +255,6 @@ def theorem_order(n: int, t: int) -> list[Monomial]:
     return order
 
 
-def format_graph(G: SimpleGraph) -> str:
-    lines = [f"graph {G.nvertices}"]
-    lines.extend(f"{u} {v}" for u, v in G.edge_list())
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph(text: str) -> SimpleGraph:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -272,10 +266,11 @@ def parse_graph(text: str) -> SimpleGraph:
         raise ValueError(f"bad graph header {lines[0]!r}") from exc
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
     return SimpleGraph(n, edges)
 
 

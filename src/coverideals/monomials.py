@@ -2,12 +2,13 @@
 
 A monomial is an exponent vector over a fixed number of ring variables
 x1..xn; a monomial ideal is its unique minimal generating set.  Everything
-here is integer arithmetic: divisibility, lcm/gcd, minimal generators,
-colon ideals, degree components, and the degree-lex order used to list
-generators canonically.  The one intersection the package computes, the
-cover ideal's, is ``graphs.cover_ideal``.  Exponents are checked where
-monomials enter (``Monomial(...)``, ``parse_monomial``, ``*``), not again in
-what is computed from them: lcms, gcds, quotients, colons and components.
+here is integer arithmetic: divisibility, minimal generators, the colon
+step that linear quotients read (``_colon``), degree components, and the
+degree-lex order used to list generators canonically.  The one intersection
+the package computes, the cover ideal's, is ``graphs.cover_ideal``.
+Exponents are checked where monomials enter (``Monomial(...)``,
+``parse_monomial``), not again in what is computed from them: colons and
+components.
 
 Text format (files and CLI): ``x1^2*x3`` with ``1`` for the unit monomial.
 Ideal files start with a ``vars <n>`` line followed by one monomial per line.
@@ -19,7 +20,7 @@ import re
 from itertools import combinations_with_replacement
 from math import comb
 from operator import itemgetter, le, neg, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, DimensionError
 
@@ -72,27 +73,6 @@ class Monomial:
         self._check_same_ring(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check_same_ring(other)
-        return Monomial._of(tuple(map(max, self.exponents, other.exponents)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check_same_ring(other)
-        return Monomial._of(tuple(map(min, self.exponents, other.exponents)))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_same_ring(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """Exact division; ``other`` must divide ``self``."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial._of(tuple(map(sub, self.exponents, other.exponents)))
-
-    def is_unit(self) -> bool:
-        return self.degree == 0
-
     def deglex_key(self):
         return _deglex_key(self.exponents)
 
@@ -119,13 +99,6 @@ class Monomial:
 
 def unit_monomial(nvars: int) -> Monomial:
     return Monomial((0,) * nvars)
-
-
-def variable(nvars: int, index: int) -> Monomial:
-    """The monomial x_index (1-based)."""
-    if not 1 <= index <= nvars:
-        raise ValueError(f"variable index {index} out of range 1..{nvars}")
-    return Monomial(tuple(1 if i == index - 1 else 0 for i in range(nvars)))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -213,26 +186,11 @@ class MonomialIdeal:
         return obj
 
     @classmethod
-    def zero(cls, nvars: int) -> "MonomialIdeal":
-        if nvars < 1:
-            raise ValueError("need at least one ring variable")
-        return cls._from_minimal(nvars, ())
-
-    @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
         return cls._from_minimal(nvars, (unit_monomial(nvars),))
 
     def is_zero(self) -> bool:
         return not self.generators
-
-    def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_unit()
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.generators)
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,12 +221,6 @@ class MonomialIdeal:
 
     def is_equigenerated(self) -> bool:
         return self.is_zero() or self.min_degree() == self.max_degree()
-
-    def colon(self, f: Monomial) -> "MonomialIdeal":
-        """The colon ideal self : f, so m is in it iff m*f is in self."""
-        if f.nvars != self.nvars:
-            raise DimensionError(f"monomial in {f.nvars} variables, expected {self.nvars}")
-        return MonomialIdeal._from_minimal(self.nvars, _colon(self.generators, f))
 
     def component(self, d: int) -> "MonomialIdeal":
         """The ideal generated by all degree-d monomials of self.
@@ -306,12 +258,6 @@ class MonomialIdeal:
         # one degree, so deglex is descending order of the reversed exponents
         exps = sorted(seen, reverse=True, key=itemgetter(*reversed(range(n))))
         return MonomialIdeal._from_minimal(n, tuple(map(Monomial._of, exps)))
-
-
-def format_ideal(ideal: MonomialIdeal) -> str:
-    lines = [f"vars {ideal.nvars}"]
-    lines.extend(format_monomial(g) for g in ideal.generators)
-    return "\n".join(lines) + "\n"
 
 
 def parse_ideal(text: str) -> MonomialIdeal:

@@ -45,9 +45,9 @@ triangulation), is ranked again exactly.
 ``betti_table(engine="auto")`` uses the Taylor engine up to ``TAYLOR_CAP``
 generators and the Koszul engine past it.  Linear resolutions and
 componentwise linearity are decided on top of the Betti tables.  Linear
-quotients (with order search), the polymatroidal exchange condition, and
-first-syzygy degree bounds read the generators alone; a linear-quotients
-order certifies componentwise linearity with no Betti number.
+quotients (with order search) and the polymatroidal exchange condition read
+the generators alone; a linear-quotients order certifies componentwise
+linearity with no Betti number.
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ def parse_field(text: str) -> FieldChoice:
     text = text.strip()
     if text in ("Q", "q", "QQ", "rationals"):
         return RATIONALS
-    if text.startswith(("F", "f")):
-        text = text[1:]
-    return FieldChoice(int(text))
+    try:
+        p = int(text[1:] if text.startswith(("F", "f")) else text)
+    except ValueError:
+        raise ValueError(f"bad field {text!r}: expected Q, a prime p or Fp") from None
+    return FieldChoice(p)
 
 
 class BettiTable:
@@ -662,16 +664,6 @@ def betti_table(
             return taylor_strand_betti(ideal, field)
         return koszul_betti(ideal, field)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def first_syzygy_degrees(ideal: MonomialIdeal) -> list[int]:
-    """Total degrees of pairwise generator lcms (sorted, with multiplicity).
-
-    Every nonzero beta_{1,j} has j in this multiset's degree range: the
-    minimal resolution sits inside the subset-complex resolution, whose
-    first-syzygy slots are the generator pairs.
-    """
-    return sorted(f.lcm(g).degree for f, g in combinations(ideal.generators, 2))
 
 
 # ---------------------------------------------------------------------------

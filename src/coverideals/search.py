@@ -151,10 +151,11 @@ def _kept_chordality(G: SimpleGraph, config: SweepConfig) -> Optional[bool]:
 def _classified_graphs(
     config: SweepConfig,
 ) -> Iterator[tuple[SimpleGraph, tuple[int, int], bool]]:
-    """The graphs of ``enumerate_graphs``, each with its isomorphism class
-    (n, least edge mask of its orbit) and its chordality.  The filters and
-    chordality do not depend on labels, so each is decided once per class,
-    on its least mask."""
+    """All labelled graphs in range that pass the config's filters, in
+    deterministic order (vertex count ascending, then edge bitmask
+    ascending), each with its isomorphism class (n, least edge mask of its
+    orbit) and its chordality.  The filters and chordality do not depend on
+    labels, so each is decided once per class, on its least mask."""
     for n in range(config.n_min, config.n_max + 1):
         slots = _edge_slots(n)
         if config.complete_only:
@@ -169,13 +170,6 @@ def _classified_graphs(
                 chordality[least] = _kept_chordality(_graph_from_mask(n, mask, slots), config)
             if chordality[least] is not None:
                 yield _graph_from_mask(n, mask, slots), (n, least), chordality[least]
-
-
-def enumerate_graphs(config: SweepConfig) -> Iterator[SimpleGraph]:
-    """All labelled graphs in range, filtered per config, in deterministic
-    order (vertex count ascending, then edge bitmask ascending)."""
-    for G, _, _ in _classified_graphs(config):
-        yield G
 
 
 def canonical_edge_mask(G: SimpleGraph) -> tuple[int, int]:

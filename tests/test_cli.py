@@ -46,20 +46,6 @@ def test_gens_complete_counts(capsys):
     assert json.loads(out)["count"] == 16
 
 
-def test_gens_closed_form_matches_default(capsys):
-    _, out1, _ = run(capsys, "gens", "--complete", "4", "--t", "3", "--format", "json")
-    _, out2, _ = run(
-        capsys, "gens", "--complete", "4", "--t", "3", "--closed-form", "--format", "json"
-    )
-    assert json.loads(out1) == json.loads(out2)
-
-
-def test_gens_closed_form_rejects_non_complete(capsys):
-    code, _, err = run(capsys, "gens", "--counterexample", "--t", "2", "--closed-form")
-    assert code == 2
-    assert "closed-form" in err
-
-
 def test_gens_table_output(capsys):
     code, out, _ = run(capsys, "gens", "--complete", "3", "--t", "1")
     assert code == 0
@@ -240,12 +226,22 @@ def test_betti_component_past_the_exponent_cap(tmp_path, capsys, text, degree, s
          '{"components": [{"degree": 1, "ok": true, "witness": null, "zero": true}], '
          '"overall": true}\n', ""),
         ("polymatroidal --complete 4 --t 2 --component 1", 0, "degree 1: exchange holds\n", ""),
+        # input errors name the text they reject
+        ("check-cwl --complete 3 --t 1 --field x", 2, "",
+         "error: bad field 'x': expected Q, a prime p or Fp\n"),
+        ("betti --complete 3 --t 1 --field F", 2, "",
+         "error: bad field 'F': expected Q, a prime p or Fp\n"),
+        ("search --n 3 --t 1,x", 2, "",
+         "error: bad --t list '1,x': expected comma-separated integers\n"),
+        ("gens --graph {edge} --t 1", 2, "", "error: bad edge line '1 x'\n"),
     ],
 )
 def test_source_checks_and_zero_components(tmp_path, capsys, argv, code, out, err):
     paths = {name: tmp_path / f"{name}.ideal" for name in ("x1", "zero")}
+    paths["edge"] = tmp_path / "edge.graph"
     paths["x1"].write_text("vars 2\nx1\n")
     paths["zero"].write_text("vars 2\n")
+    paths["edge"].write_text("graph 3\n1 x\n")
     assert run(capsys, *(a.format(**paths) for a in argv.split())) == (code, out, err)
 
 
@@ -455,6 +451,7 @@ def test_usage_error_exit_code(capsys):
         # a usage error of every command: one its own parser reports, and an
         # unknown argument, which the parser of every command reports
         *([name, "--format", "bogus"] for name, _, _ in cli._COMMANDS),
+        ["search", "--format", "json"],  # search writes jsonl or csv only
         *([name, "--bogus"] for name, _, _ in cli._COMMANDS),
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",

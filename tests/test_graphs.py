@@ -12,7 +12,6 @@ from coverideals.graphs import (
     complete_graph,
     counterexample_graph,
     cover_ideal,
-    format_graph,
     knt_closed_form,
     minimal_t_covers,
     parse_graph,
@@ -219,9 +218,9 @@ def test_scan_capacity_guard():
 def test_cover_ideal_counterexample_displays():
     G = counterexample_graph()
     I1 = cover_ideal(G, 1)
-    assert set(m.exponents for m in I1) == {(0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1)}
+    assert set(m.exponents for m in I1.generators) == {(0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1)}
     I2 = cover_ideal(G, 2)
-    assert set(m.exponents for m in I2) == {
+    assert set(m.exponents for m in I2.generators) == {
         (0, 2, 2, 0), (1, 1, 1, 1), (2, 2, 0, 2), (2, 0, 2, 2)
     }
 
@@ -229,27 +228,27 @@ def test_cover_ideal_counterexample_displays():
 def test_cover_ideal_counterexample_t3_frozen():
     # frozen from the brute scan over {0..3}^4
     I3 = cover_ideal(counterexample_graph(), 3)
-    assert set(m.exponents for m in I3) == {
+    assert set(m.exponents for m in I3.generators) == {
         (0, 3, 3, 0), (1, 2, 2, 1), (2, 1, 2, 2), (2, 2, 1, 2),
         (3, 0, 3, 3), (3, 3, 0, 3),
     }
 
 
 def test_cover_ideal_of_edgeless_graph_is_unit():
-    assert cover_ideal(SimpleGraph(3), 2).is_unit()
+    assert cover_ideal(SimpleGraph(3), 2) == MonomialIdeal.unit(3)
 
 
 def test_cover_ideal_methods_agree_k3_t2():
     G = complete_graph(3)
     assert cover_ideal(G, 2) == scan_ideal(G, 2)
     expected = {(1, 1, 1), (0, 2, 2), (2, 0, 2), (2, 2, 0)}
-    assert set(m.exponents for m in cover_ideal(G, 2)) == expected
+    assert set(m.exponents for m in cover_ideal(G, 2).generators) == expected
 
 
 def test_cover_ideal_of_two_edge_path():
     # <x1, x2> ∩ <x1, x3> = <x1, x2x3>
     I = cover_ideal(SimpleGraph(3, [(1, 2), (1, 3)]), 1)
-    assert [m.exponents for m in I] == [(1, 0, 0), (0, 1, 1)]
+    assert [m.exponents for m in I.generators] == [(1, 0, 0), (0, 1, 1)]
 
 
 graphs_2_to_5 = st.integers(2, 5).flatmap(lambda n: st.builds(
@@ -262,7 +261,7 @@ def test_cover_ideal_membership_law(G, t, exps):
     # m lies in the intersection of the <x_u, x_v>^t exactly when it lies in
     # each of them, that is when m_u + m_v >= t on every edge
     m = exps[: G.nvertices]
-    in_ideal = any(all(map(le, g.exponents, m)) for g in cover_ideal(G, t))
+    in_ideal = any(all(map(le, g.exponents, m)) for g in cover_ideal(G, t).generators)
     assert in_ideal == all(m[u - 1] + m[v - 1] >= t for u, v in G.edges)
 
 
@@ -278,9 +277,9 @@ def test_cover_ideal_invariant_under_relabelling():
         I, J = cover_ideal(G, 2), cover_ideal(H, 2)
         relabelled = {
             tuple(e[perm.index(v + 1)] for v in range(4)) for e in
-            (m.exponents for m in I)
+            (m.exponents for m in I.generators)
         }
-        assert relabelled == {m.exponents for m in J}
+        assert relabelled == {m.exponents for m in J.generators}
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +298,8 @@ def test_closed_form_generator_counts():
     # n(m+1) generators at t = 2m+1, 1 + nm at t = 2m
     for n in (3, 4, 5):
         for m in (1, 2, 3):
-            assert len(knt_closed_form(n, 2 * m + 1)) == n * (m + 1)
-            assert len(knt_closed_form(n, 2 * m)) == 1 + n * m
+            assert len(knt_closed_form(n, 2 * m + 1).generators) == n * (m + 1)
+            assert len(knt_closed_form(n, 2 * m).generators) == 1 + n * m
 
 
 def test_closed_form_rejects_small_n():
@@ -310,26 +309,26 @@ def test_closed_form_rejects_small_n():
 
 def test_k12_t5_families():
     I = knt_closed_form(12, 5)
-    assert len(I) == 36
+    assert len(I.generators) == 36
     fams = {2: set(), 1: set(), 0: set()}
     for j in range(12):
         for low, high in ((2, 3), (1, 4), (0, 5)):
             e = [high] * 12
             e[j] = low
             fams[low].add(tuple(e))
-    assert {m.exponents for m in I} == fams[2] | fams[1] | fams[0]
+    assert {m.exponents for m in I.generators} == fams[2] | fams[1] | fams[0]
 
 
 def test_k5_t6_families():
     I = knt_closed_form(5, 6)
-    assert len(I) == 16
+    assert len(I.generators) == 16
     expected = {(3, 3, 3, 3, 3)}
     for j in range(5):
         for low, high in ((2, 4), (1, 5), (0, 6)):
             e = [high] * 5
             e[j] = low
             expected.add(tuple(e))
-    assert {m.exponents for m in I} == expected
+    assert {m.exponents for m in I.generators} == expected
 
 
 def test_theorem_order_rows():
@@ -355,10 +354,11 @@ def test_theorem_order_is_deglex_sorted():
 # file format
 
 def test_graph_file_roundtrip():
-    G = counterexample_graph()
-    text = format_graph(G)
-    assert text.splitlines()[0] == "graph 4"
-    assert parse_graph(text) == G
+    # the counterexample graph written out by hand, edges in edge_list order
+    text = "graph 4\n1 2\n1 3\n2 3\n2 4\n3 4\n"
+    G = parse_graph(text)
+    assert G == counterexample_graph()
+    assert [f"{u} {v}" for u, v in G.edge_list()] == text.splitlines()[1:]
 
 
 def test_parse_graph_rejects_bad_header():

@@ -175,7 +175,7 @@ def test_certified_orders_give_linear_resolutions():
 
 def test_zero_ideal_rejected():
     with pytest.raises(ValueError):
-        find_linear_quotient_order(MonomialIdeal.zero(2))
+        find_linear_quotient_order(MonomialIdeal(2))
 
 
 # ---------------------------------------------------------------------------

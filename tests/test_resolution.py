@@ -1,8 +1,10 @@
 import random
 import tracemalloc
 from collections import defaultdict
-from itertools import combinations, compress, permutations, product
+from bisect import bisect_right
+from itertools import accumulate, combinations, compress, count, groupby, permutations, product
 from math import comb, prod
+from operator import itemgetter, ne, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,6 @@ from coverideals.resolution import (
     FieldChoice,
     betti_table,
     find_linear_quotient_order,
-    first_syzygy_degrees,
     has_linear_resolution,
     is_componentwise_linear,
     koszul_betti,
@@ -209,11 +210,11 @@ def generator_histogram(table):
 def test_taylor_cap():
     # degree-9 component of the order-3 cover ideal: 32 generators in 4 vars
     I = cover_ideal(complete_graph(4), 3).component(9)
-    assert len(I) > 14
+    assert len(I.generators) > 14
     with pytest.raises(CapacityError):
         taylor_strand_betti(I)
     table = koszul_betti(I)  # the scalable engine still runs
-    assert generator_histogram(table) == {9: len(I)}
+    assert generator_histogram(table) == {9: len(I.generators)}
 
 
 def test_beta_zero_counts_generators_by_degree():
@@ -229,8 +230,8 @@ def test_beta_zero_counts_generators_by_degree():
 
 
 def test_zero_and_unit_ideal_tables():
-    assert taylor_strand_betti(MonomialIdeal.zero(2)).multigraded == {}
-    assert koszul_betti(MonomialIdeal.zero(2)).multigraded == {}
+    assert taylor_strand_betti(MonomialIdeal(2)).multigraded == {}
+    assert koszul_betti(MonomialIdeal(2)).multigraded == {}
     unit = MonomialIdeal.unit(3)
     assert taylor_strand_betti(unit).multigraded == {(0, (0, 0, 0)): 1}
     assert koszul_betti(unit).multigraded == {(0, (0, 0, 0)): 1}
@@ -407,7 +408,7 @@ def _six_variable_ideals():
 EDGE_IDEALS = [
     MonomialIdeal.unit(1),
     MonomialIdeal.unit(4),
-    MonomialIdeal.zero(1),
+    MonomialIdeal(1),
     ideal(1, (3,)),
     ideal(1, (5,), (2,)),
     # x2 is in no generator: an axis of length 1 with no cell off position 0
@@ -523,7 +524,7 @@ def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
         return homology(computed[-1], over)
 
     monkeypatch.setattr(resolution, "_homology", recording)
-    assert len(CONE_COMPONENT) == TAYLOR_CAP
+    assert len(CONE_COMPONENT.generators) == TAYLOR_CAP
     skipped = []  # cone strata per ideal
     for I in _cone_corpus():
         gens = [g.exponents for g in I.generators]
@@ -562,36 +563,71 @@ def is_cone_family(members, m):
     return 0 in held and any(all(k | 1 << v in held for k in held) for v in range(m))
 
 
-def unscreened_koszul(I, field, homology):
-    """beta_{i,a} from the upper Koszul complex at every lcm-lattice point,
-    with membership by divisibility and every complex handed to
-    ``homology``: no plane split, no memo, no screen, no symmetry.
+# ideal -> its reference complexes, built once and shared by the field cases
+REFERENCE_COMPLEXES = {}
+
+
+def reference_complexes(I):
+    """(lattice size, complexes): the upper Koszul complex of every
+    lcm-lattice point, with membership by divisibility, as a map from each
+    distinct complex to the points that have it, one byte per exponent.  A
+    complex is a bitset of face patterns (bit p: the support axes in p
+    stepped down).  Nothing here depends on the field.
 
     ``below[k][v]`` is the set of generators (a bitmask) with exponent at
     most v in x_k, so the generators dividing a monomial are the AND of its
-    exponents' sets.  A point keeps the ANDs of the point before over the
-    axes before the first one where the two differ (lcm_lattice is sorted,
-    so most axes are shared)."""
-    gens = [g.exponents for g in I.generators]
+    exponents' sets.  ``divisors`` holds them per pattern on the axes of a
+    prefix (all exponents but the last), and keeps the ANDs of the prefix
+    before over the axes before the first one where the two differ
+    (lcm_lattice is sorted, so most axes are shared).  Generators are
+    numbered in order of their last exponent, so the least bit of a set of
+    them has the set's least last exponent, m say: at the prefix's point
+    with last exponent e, pattern p is a face when m <= e, and p with the
+    last axis stepped down is one when m <= e - 1."""
+    if I in REFERENCE_COMPLEXES:
+        return REFERENCE_COMPLEXES[I]
+    gens = sorted((g.exponents for g in I.generators), key=itemgetter(-1))
     below = [
         [sum(1 << j for j, e in enumerate(gens) if e[k] <= v) for v in range(max(column) + 1)]
         for k, column in enumerate(zip(*gens))
     ]
-    # divisors[k]: per face pattern on the support axes before k, the
-    # generators dividing the point one step down each axis of the pattern
     divisors = [[(1 << len(gens)) - 1]]
     last = ()
-    table = {}
-    for a in lcm_lattice(I):
-        start = next((k for k, (x, y) in enumerate(zip(a, last)) if x != y), len(last))
+    lattice = lcm_lattice(I)
+    complexes = defaultdict(bytearray)
+    for prefix, points in groupby(lattice, itemgetter(slice(-1))):
+        start = next(compress(count(), map(ne, prefix, last)), len(last))
         del divisors[start + 1:]
-        for k in range(start, len(a)):
-            kept, e = divisors[k], a[k]
+        for k in range(start, len(prefix)):
+            kept, e = divisors[k], prefix[k]
             stepped = [d & below[k][e - 1] for d in kept] if e else []
             divisors.append([d & below[k][e] for d in kept] + stepped)
-        faces = tuple(compress(range(len(divisors[-1])), divisors[-1]))
-        table.update({(size, a): h for size, h in homology(faces, field).items() if h})
-        last = a
+        last, kept = prefix, divisors[-1]
+        # patterns by the least last exponent of their generators, and the
+        # faces among the first i of them
+        least = sorted((gens[(d & -d).bit_length() - 1][-1], p) for p, d in enumerate(kept) if d)
+        thresholds = [x for x, _ in least]
+        faces = list(accumulate((1 << p for _, p in least), or_, initial=0))
+        for a in points:
+            e = a[-1]
+            key = faces[bisect_right(thresholds, e)]
+            if e:
+                key |= faces[bisect_right(thresholds, e - 1)] << len(kept)
+            complexes[key].extend(a)
+    REFERENCE_COMPLEXES[I] = len(lattice), complexes
+    return REFERENCE_COMPLEXES[I]
+
+
+def unscreened_koszul(I, field, homology):
+    """beta_{i,a} from the upper Koszul complex at every lcm-lattice point,
+    each distinct complex handed to ``homology`` once: no plane split, no
+    screen, no symmetry."""
+    table = {}
+    for faces, points in reference_complexes(I)[1].items():
+        patterns = [p for p in range(faces.bit_length()) if faces >> p & 1]
+        for size, h in homology(patterns, field).items():
+            if h:
+                table.update(((size, a), h) for a in zip(*[iter(points)] * I.nvars))
     return table
 
 
@@ -651,7 +687,7 @@ def test_koszul_cone_screen_is_sound(monkeypatch, field):
             assert (critical == 0) == is_cone_family(members, m), (I, faces)
         fired.append(sum(not c for _, _, c in tested))
         assert table.multigraded == unscreened_koszul(I, field, homology), I
-        if len(I) <= TAYLOR_CAP:
+        if len(I.generators) <= TAYLOR_CAP:
             assert table == taylor_strand_betti(I, field), I
     # on the degree-12 component, where Betti numbers are computed, 6 of
     # the 20 distinct complexes are cones, and the other 14 hand over 35
@@ -702,14 +738,14 @@ def test_twin_classes():
     # swapping does nothing to the unit ideal and has no generator to move
     # in the zero ideal
     assert twin_classes(MonomialIdeal.unit(3)) == [[0, 1, 2]]
-    assert twin_classes(MonomialIdeal.zero(3)) == [[0, 1, 2]]
+    assert twin_classes(MonomialIdeal(3)) == [[0, 1, 2]]
     # every column holds 0, 1, 2, but only the cyclic shift fixes the
     # generators, and no swap does
     cyclic = ideal(3, (1, 2, 0), (2, 0, 1), (0, 1, 2))
     assert twin_classes(cyclic) == [[0], [1], [2]]
     # classes need not be runs of variables
     assert twin_classes(ideal(4, (2, 1, 0, 0), (0, 1, 2, 0), (1, 0, 1, 3))) == [[0, 2], [1], [3]]
-    for I in (MonomialIdeal.unit(3), MonomialIdeal.zero(3), cyclic):
+    for I in (MonomialIdeal.unit(3), MonomialIdeal(3), cyclic):
         assert koszul_betti(I).multigraded == unscreened_koszul(I, RATIONALS, resolution._homology)
 
 
@@ -794,7 +830,7 @@ def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
     corpus = [*EDGE_IDEALS, projective_plane_ideal(), *_symmetric_ideals()]
     for J in _graph_class_ideals():
         corpus += [J.component(d) for d in range(J.min_degree(), J.max_degree() + 1)]
-    seen = {}  # the reference's complexes recur from point to point
+    seen = {}  # the reference's complexes recur from ideal to ideal
 
     def recalled(faces, over):
         key = tuple(faces)
@@ -812,7 +848,7 @@ def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
     for I in corpus:
         before = len(builds)
         assert koszul_betti(I, field).multigraded == unscreened_koszul(I, field, recalled), I
-        assert (len(builds) > before) == (candidate_count(I) < len(lcm_lattice(I))), I
+        assert (len(builds) > before) == (candidate_count(I) < reference_complexes(I)[0]), I
         if len(resolution._twin_classes(I)) < I.nvars:
             reduced += 1
             sides.add(len(builds) > before)
@@ -928,10 +964,10 @@ def test_cwl_verdict_expands_no_orbit(monkeypatch):
 
 def test_betti_table_auto_engine_switches():
     small = cover_ideal(complete_graph(4), 2).component(6)
-    assert len(small) == TAYLOR_CAP
+    assert len(small.generators) == TAYLOR_CAP
     assert betti_table(small, engine="auto") == taylor_strand_betti(small)
     large = cover_ideal(complete_graph(4), 3).component(9)
-    assert len(large) == 32
+    assert len(large.generators) == 32
     with pytest.raises(CapacityError):
         taylor_strand_betti(large)
     assert betti_table(large, engine="auto") == koszul_betti(large)
@@ -1009,7 +1045,7 @@ def test_projective_plane_ideal_betti_depends_on_field():
     # the non-face ideal of the 6-vertex projective plane: linear over Q,
     # extra syzygies in characteristic 2; engines must agree within each field
     I = projective_plane_ideal()
-    assert len(I) == 10
+    assert len(I.generators) == 10
     tQ = taylor_strand_betti(I, RATIONALS)
     t2 = taylor_strand_betti(I, F2)
     assert tQ == koszul_betti(I, RATIONALS)
@@ -1151,7 +1187,7 @@ def test_linear_resolution_rejects_mixed_degrees():
 
 
 def test_zero_ideal_vacuously_linear():
-    ok, offending = has_linear_resolution(MonomialIdeal.zero(2))
+    ok, offending = has_linear_resolution(MonomialIdeal(2))
     assert ok and offending is None
 
 
@@ -1215,7 +1251,7 @@ def test_complete_graph_k6_t2_cwl_through_betti():
 
 
 def test_zero_ideal_cwl_vacuous():
-    report = is_componentwise_linear(MonomialIdeal.zero(3))
+    report = is_componentwise_linear(MonomialIdeal(3))
     assert report.overall and report.vacuous
 
 
@@ -1356,28 +1392,9 @@ def test_cwl_report_json_schema():
 # ---------------------------------------------------------------------------
 # first syzygies
 
-def test_first_syzygy_degrees_examples():
-    assert first_syzygy_degrees(ideal(2, (1, 0), (0, 1))) == [2]
-    assert first_syzygy_degrees(ideal(4, (0, 2, 2, 0), (1, 1, 1, 1))) == [6]
-    assert first_syzygy_degrees(ideal(2, (2, 0))) == []
-
-
-def test_first_syzygy_lower_bound_with_equality_at_2t():
-    for t in (2, 3):
-        comp = cover_ideal(counterexample_graph(), t).component(2 * t)
-        degs = first_syzygy_degrees(comp)
-        assert min(degs) >= 2 * t + 2
-        table = taylor_strand_betti(comp)
-        beta1 = [j for (i, j) in table.coarse if i == 1]
-        assert beta1 and min(beta1) == min(degs)
-    # t = 4, from the frozen brute-force generator list
-    comp = MonomialIdeal(
-        4, [M(0, 4, 4, 0), M(1, 3, 3, 1), M(2, 2, 2, 2)]
-    )
-    assert min(first_syzygy_degrees(comp)) >= 10
-
-
 def test_taylor_lower_bound_random():
+    # every nonzero beta_{1,j} sits at the degree of some generator pair's
+    # lcm, the subset complex's first-syzygy slots
     rng = random.Random(999)
     for _ in range(25):
         I = random_small_ideal(rng)
@@ -1386,4 +1403,5 @@ def test_taylor_lower_bound_random():
         table = taylor_strand_betti(I)
         beta1 = [j for (i, j) in table.coarse if i == 1]
         if beta1:
-            assert min(beta1) >= min(first_syzygy_degrees(I))
+            assert min(beta1) >= min(sum(map(max, f.exponents, g.exponents))
+                                     for f, g in combinations(I.generators, 2))

@@ -14,7 +14,6 @@ from coverideals.search import (
     CSV_HEADER,
     SweepConfig,
     canonical_edge_mask,
-    enumerate_graphs,
     sweep,
     to_csv,
     to_jsonl,
@@ -55,12 +54,17 @@ def test_sweep_records_are_hashable_immutable_values():
             setattr(value, name, None)
 
 
+def rows(**config):
+    """The records of a sweep at t = 1: one per graph the config keeps."""
+    return sweep(SweepConfig(**config))[0]
+
+
 def test_enumerate_counts():
-    assert len(list(enumerate_graphs(SweepConfig(n_min=3, n_max=3)))) == 8
-    assert len(list(enumerate_graphs(SweepConfig(n_min=4, n_max=4)))) == 64
-    chordal4 = list(enumerate_graphs(SweepConfig(n_min=4, n_max=4, chordal_only=True)))
+    assert len(rows(n_min=3, n_max=3)) == 8
+    assert len(rows(n_min=4, n_max=4)) == 64
+    chordal4 = rows(n_min=4, n_max=4, chordal_only=True)
     assert len(chordal4) == 61  # 64 minus the three labelled 4-cycles
-    connected3 = list(enumerate_graphs(SweepConfig(n_min=3, n_max=3, connected_only=True)))
+    connected3 = rows(n_min=3, n_max=3, connected_only=True)
     assert len(connected3) == 4  # the three paths and the triangle
     records, summary = sweep(SweepConfig(n_min=4, n_max=4, connected_only=True))
     assert len(records) == 38
@@ -69,17 +73,17 @@ def test_enumerate_counts():
 
 
 def test_enumerate_deterministic_order():
-    a = [g.edge_list() for g in enumerate_graphs(SweepConfig(n_min=1, n_max=3))]
-    b = [g.edge_list() for g in enumerate_graphs(SweepConfig(n_min=1, n_max=3))]
+    a = [r.edges for r in rows(n_min=1, n_max=3)]
+    b = [r.edges for r in rows(n_min=1, n_max=3)]
     assert a == b
-    ns = [g.nvertices for g in enumerate_graphs(SweepConfig(n_min=1, n_max=3))]
+    ns = [r.n for r in rows(n_min=1, n_max=3)]
     assert ns == sorted(ns)
 
 
 def test_complete_only_enumeration():
-    graphs = list(enumerate_graphs(SweepConfig(n_min=2, n_max=4, complete_only=True)))
-    assert [g.nvertices for g in graphs] == [2, 3, 4]
-    assert all(len(g.edges) == g.nvertices * (g.nvertices - 1) // 2 for g in graphs)
+    records = rows(n_min=2, n_max=4, complete_only=True)
+    assert [r.n for r in records] == [2, 3, 4]
+    assert all(len(r.edges) == r.n * (r.n - 1) // 2 for r in records)
 
 
 def test_canonical_edge_mask_is_isomorphism_invariant():

@@ -219,26 +219,28 @@ def test_every_cli_option_is_read():
     assert unread == {}
 
 
+def names(node: ast.AST, skip: ast.AST = None) -> set[str]:
+    """The names ``node`` refers to outside the subtree ``skip``; an
+    attribute ``x.a`` adds both "a" and ".a"."""
+    if node is skip:
+        return set()
+    found = set()
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found |= {node.attr, "." + node.attr}
+    elif isinstance(node, ast.alias):
+        found.add(node.asname or node.name)
+    for child in ast.iter_child_nodes(node):
+        found |= names(child, skip)
+    return found
+
+
 def test_every_private_helper_is_used():
     # A module-level function or class whose name starts with "_" is no API:
     # if nothing in the package refers to it outside its own definition, it
     # is dead code.  Tests do not count as users.
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-
-    def names(node: ast.AST, skip: ast.AST) -> set[str]:
-        if node is skip:
-            return set()
-        found = set()
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.asname or node.name)
-        for child in ast.iter_child_nodes(node):
-            found |= names(child, skip)
-        return found
-
     helpers = [
         (module, node) for module, tree in trees.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -248,6 +250,35 @@ def test_every_private_helper_is_used():
     unused = [
         f"{module}:{node.name}" for module, node in helpers
         if not any(node.name in names(tree, node) for tree in trees.values())
+    ]
+    assert unused == []
+
+
+def test_every_public_name_is_used():
+    # An export, or a public method of the core classes, that only tests
+    # call is API with no user.  Each must be named in the package outside
+    # its own definition and __init__.py, or in the README's Library example.
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES
+             if path.name != "__init__.py"]
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    example = names(ast.parse(readme.split("## Library")[1].split("```")[1][len("python"):]))
+    defined = {}  # name -> its top-level definition
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defined.update((ast.unparse(t), node) for t in node.targets)
+    wanted = [(name, defined[name]) for name in coverideals.__all__]
+    wanted += [
+        ("." + node.name, node)
+        for cls in ("Monomial", "MonomialIdeal", "SimpleGraph")
+        for node in defined[cls].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    unused = [
+        name for name, node in wanted
+        if name not in example and not any(name in names(tree, node) for tree in trees)
     ]
     assert unused == []
 
