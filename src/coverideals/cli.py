@@ -25,7 +25,7 @@ import os
 import sys
 import textwrap
 
-from .errors import CapacityError, DimensionError, NotEquigeneratedError
+from .errors import CapacityError
 from .graphs import (
     SimpleGraph,
     complete_graph,
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, DimensionError, NotEquigeneratedError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,9 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   equal Betti numbers, so complexes are built only at the points whose
   values do not decrease along each twin class, one per orbit of the swaps,
   built as words over the twins' values where fewer than the lattice's
-  points, else filtered from them; the rest of an orbit is listed only if
-  the multigraded entries are read, as the coarse ones need only its size.
+  points, else filtered from them; the rest of an orbit, reached by
+  swapping twins, is listed only if the multigraded entries are read, as
+  the coarse ones need only its size.
   Membership is a bit plane over the compressed divisor box (on each axis
   the generator exponents in its variable, plus 0), one per call, which
   also gives the lattice.  The representatives are grouped by support, and
@@ -126,7 +127,7 @@ class BettiTable:
     ``multigraded`` maps (homological index i, exponent tuple) to a positive
     rank; ``coarse`` maps (i, total degree) to the sum over multidegrees.
     A ``koszul_betti`` table holds one point per twin orbit (``_of_orbits``)
-    and expands ``multigraded`` from them when it is first read.
+    and swaps twins (``_twin_orbit``) to expand ``multigraded`` when read.
     """
 
     __slots__ = ("nvars", "field", "coarse", "_multigraded", "_orbits")
@@ -141,12 +142,12 @@ class BettiTable:
 
     @classmethod
     def _of_orbits(cls, nvars: int, field: FieldChoice, classes: list[list[int]],
-                   orbits: dict) -> BettiTable:
+                   twins: list[tuple[int, int]], orbits: dict) -> BettiTable:
         """Every point of the orbit of a representative in ``orbits``, lists of
         (representative, ranks) by pattern of equal consecutive twins, has
         beta_{i,a} = r for (i, r) in ranks."""
         table = cls(nvars, field, {})
-        table._multigraded, table._orbits = None, (classes, orbits)
+        table._multigraded, table._orbits = None, (twins, orbits)
         for carried in orbits.values():
             # the orbit's size, the same for every point of a pattern, is its
             # number of distinct rearrangements within each twin class
@@ -160,11 +161,10 @@ class BettiTable:
     @property
     def multigraded(self) -> dict:
         if self._multigraded is None:
-            classes, orbits = self._orbits
+            twins, orbits = self._orbits
             self._multigraded = {
-                (i, get(a)): r for equal, carried in orbits.items()
-                for get in _rearrangements(classes, equal)
-                for a, ranks in carried for i, r in ranks
+                (i, b): r for carried in orbits.values() for a, ranks in carried
+                for b in _twin_orbit(a, twins) for i, r in ranks
             }
         return self._multigraded
 
@@ -509,9 +509,9 @@ def koszul_betti(
 
     The table keeps each representative that carries a Betti number with
     its ranks; coarse entries weigh them by orbit size, all a linearity
-    verdict reads, and their rearrangements within the classes
-    (``_rearrangements``) are built only when the multigraded entries are
-    read.
+    verdict reads, and the rest of each orbit, reached by swapping
+    consecutive twins (``_twin_orbit``), is built only when the multigraded
+    entries are read.
 
     Raises CapacityError, before allocating, past ``BOX_CAP`` cells.
     """
@@ -559,7 +559,7 @@ def koszul_betti(
             if ranks:
                 # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
                 orbits[tuple(a[i] == a[j] for i, j in twins)].append((a, ranks))
-    return BettiTable._of_orbits(ideal.nvars, field, classes, orbits)
+    return BettiTable._of_orbits(ideal.nvars, field, classes, twins, orbits)
 
 
 def _built_representatives(points: list, classes: list, grids: list) -> list[tuple]:
@@ -601,39 +601,20 @@ def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:
     return classes
 
 
-def _rearrangements(classes: list[list[int]], equal: tuple[bool, ...]) -> list:
-    """Getters of the distinct rearrangements, within each twin class, of a
-    point whose values do not decrease along any class; ``equal`` flags the
-    consecutive twins whose values agree.  Twins with equal values are
-    interchangeable, so a getter reads each class position from the first
-    twin of a run of equal values, and the getters of a class are the
-    distinct orders of those first twins, each made once."""
-    identity = list(range(sum(map(len, classes))))
-    maps = [identity]
-    flags = iter(equal)
-    for cls in classes:
-        heads = cls[:1]
-        for v in cls[1:]:
-            heads.append(heads[-1] if next(flags) else v)
-        grown = []
-        for m in maps:
-            for order in _distinct_orders(heads):
-                arranged = m[:]
-                for d, h in zip(cls, order):
-                    arranged[d] = h
-                grown.append(arranged)
-        maps = grown
-    # a tuple is its own identity; itemgetter of one index gives no tuple
-    return [tuple if m == identity else itemgetter(*m) for m in maps]
-
-
-def _distinct_orders(word: list[int]) -> list[tuple[int, ...]]:
-    """The distinct orders of a nondecreasing list, in lexicographic order:
-    each distinct value first, followed by the distinct orders of the rest."""
-    if not word:
-        return [()]
-    return [(v,) + rest for i, v in enumerate(word) if i == 0 or v != word[i - 1]
-            for rest in _distinct_orders(word[:i] + word[i + 1:])]
+def _twin_orbit(a: tuple, twins: list[tuple[int, int]]) -> set[tuple]:
+    """The points reached from ``a`` by swapping the values of consecutive
+    twins (i, j).  Swaps of neighbours generate the symmetric group on each
+    class, so these are a's distinct rearrangements within the classes."""
+    swaps = [itemgetter(*[j if k == i else i if k == j else k for k in range(len(a))])
+             for i, j in twins]
+    orbit, todo = {a}, [a]
+    for b in todo:  # todo grows as points are found
+        for swap in swaps:
+            c = swap(b)
+            if c not in orbit:
+                orbit.add(c)
+                todo.append(c)
+    return orbit
 
 
 def _pattern_masks(m: int) -> list[int]:
@@ -699,7 +680,7 @@ class DegreeVerdict(namedtuple("DegreeVerdict", "degree status offending", defau
 
 
 class CwlReport(namedtuple(
-    "CwlReport", "nvars field verdicts overall vacuous", defaults=(False,)
+    "CwlReport", "field verdicts overall vacuous", defaults=(False,)
 )):
     """Per-degree linearity verdicts plus the overall decision.
 
@@ -760,7 +741,7 @@ def is_componentwise_linear(
     if budget < 0:
         raise ValueError("budget must be >= 0 (0 means no budget)")
     if ideal.is_zero():
-        return CwlReport(ideal.nvars, field, (), True, vacuous=True)
+        return CwlReport(field, (), True, vacuous=True)
     lo, hi = ideal.min_degree(), ideal.max_degree()
     components = []
     built = 0
@@ -781,7 +762,7 @@ def is_componentwise_linear(
         ok, offending = has_linear_resolution(comp, field, engine)
         verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
     overall = all(v.status != "not linear" for v in verdicts)
-    return CwlReport(ideal.nvars, field, tuple(verdicts), overall)
+    return CwlReport(field, tuple(verdicts), overall)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_betti_coarse_json_expands_no_orbit(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("an orbit was expanded")
 
-    monkeypatch.setattr(resolution, "_rearrangements", refuse)
+    monkeypatch.setattr(resolution, "_twin_orbit", refuse)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     expected = json.loads(full)
@@ -529,6 +529,9 @@ def test_json_outputs_are_stable(capsys):
     # every orbit of the degree-12 component of J_{K5}(3) expanded
     ("betti --complete 5 --t 3 --component 12 --multigraded",
      "40b00e4376b3614417f1251a40c4ab5e287f5e8b1159c2b1e204c5d035e49d00"),
+    # a six-twin class over F2, several patterns of equal values per orbit
+    ("betti --complete 6 --t 3 --component 15 --field 2 --multigraded",
+     "726c4b3e8396109714774c725ddbdf0b89b124c2ebffb2a9e80119149329ccea"),
 ])
 def test_json_outputs_are_pinned(capsys, argv, digest):
     # sha256 of the output of the filter that tested every lattice point for

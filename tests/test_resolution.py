@@ -84,9 +84,9 @@ def test_records_are_hashable_immutable_values():
     assert str(FieldChoice(3)) == "F3" and repr(FieldChoice(3)) == "FieldChoice(p=3)"
     verdict = DegreeVerdict(4, "not linear", (1, 6))
     assert DegreeVerdict(2, "linear").offending is None
-    report = CwlReport(4, F2, (verdict,), False)
-    assert report == CwlReport(4, FieldChoice(2), (DegreeVerdict(4, "not linear", (1, 6)),), False)
-    assert hash(report) == hash(CwlReport(4, F2, (verdict,), False, False))
+    report = CwlReport(F2, (verdict,), False)
+    assert report == CwlReport(FieldChoice(2), (DegreeVerdict(4, "not linear", (1, 6)),), False)
+    assert hash(report) == hash(CwlReport(F2, (verdict,), False, False))
     assert (report.vacuous, report.failing_degree()) == (False, 4)
     quotients = resolution.linear_quotients_check([M(1, 0), M(0, 1)])
     assert quotients == resolution.QuotientsResult(True, ((M(1, 0),),))
@@ -820,6 +820,21 @@ def test_built_orbit_representatives_match_the_column_filter(drawn):
     twins = [(i, j) for c in classes for i, j in zip(c, c[1:])]
     filtered = [a for a in points if all(a[i] <= a[j] for i, j in twins)]
     assert len(built) == len(set(built)) and set(built) == set(filtered)
+    # their twin orbits partition the lattice, and each is every
+    # rearrangement of its representative within the classes
+    orbits = [resolution._twin_orbit(a, twins) for a in built]
+    union = set().union(*orbits)
+    assert sum(map(len, orbits)) == len(union)  # pairwise disjoint
+    assert union == set(points)
+    for a, orbit in zip(built, orbits):
+        arranged = set()
+        for words in product(*(set(permutations([a[i] for i in c])) for c in classes)):
+            b = list(a)
+            for c, word in zip(classes, words):
+                for i, v in zip(c, word):
+                    b[i] = v
+            arranged.add(tuple(b))
+        assert orbit == arranged, a
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
@@ -957,7 +972,7 @@ def test_cwl_verdict_expands_no_orbit(monkeypatch):
     def refuse(*args):
         raise AssertionError("an orbit was expanded")
 
-    monkeypatch.setattr(resolution, "_rearrangements", refuse)
+    monkeypatch.setattr(resolution, "_twin_orbit", refuse)
     report = is_componentwise_linear(cover_ideal(complete_graph(5), 3))
     assert report.overall and [v.degree for v in report.verdicts] == [9, 10, 11, 12]
 

@@ -238,19 +238,30 @@ def names(node: ast.AST, skip: ast.AST = None) -> set[str]:
 
 def test_every_private_helper_is_used():
     # A module-level function or class whose name starts with "_" is no API:
-    # if nothing in the package refers to it outside its own definition, it
-    # is dead code.  Tests do not count as users.
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    # it is dead code unless its own module refers to it outside its
+    # definition, or a module that imports it by name refers to it outside
+    # that import.  The same bare name in any other module is another
+    # helper, and tests do not count as users.
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     helpers = [
         (module, node) for module, tree in trees.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
     ]
     assert helpers
-    unused = [
-        f"{module}:{node.name}" for module, node in helpers
-        if not any(node.name in names(tree, node) for tree in trees.values())
-    ]
+
+    def used(module: str, node: ast.AST) -> bool:
+        if node.name in names(trees[module], node):
+            return True
+        return any(
+            (alias.asname or alias.name) in names(tree, imported)
+            for tree in trees.values() for imported in ast.walk(tree)
+            if isinstance(imported, ast.ImportFrom)
+            and (imported.level, imported.module) == (1, module)
+            for alias in imported.names if alias.name == node.name
+        )
+
+    unused = [f"{module}.py:{node.name}" for module, node in helpers if not used(module, node)]
     assert unused == []
 
 
