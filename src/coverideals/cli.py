@@ -413,7 +413,9 @@ def main(argv=None) -> int:
         # The reader of stdout went away.  Exit as a process killed by
         # SIGPIPE would (128 + 13), silently: the output left in the buffer
         # goes to the null device when Python flushes it at exit.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

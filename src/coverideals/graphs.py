@@ -11,6 +11,7 @@ A graph on n vertices (labelled 1..n) turns into ideals of k[x1..xn]:
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,11 +27,12 @@ class SimpleGraph:
     __slots__ = ("nvertices", "edges")
 
     def __init__(self, nvertices: int, edges: Iterable[Sequence[int]] = ()):
+        nvertices = operator.index(nvertices)
         if nvertices < 1:
             raise ValueError("need at least one vertex")
         norm = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = operator.index(e[0]), operator.index(e[1])
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= nvertices and 1 <= v <= nvertices):

@@ -16,6 +16,7 @@ Ideal files start with a ``vars <n>`` line followed by one monomial per line.
 
 from __future__ import annotations
 
+import operator
 import re
 from itertools import combinations_with_replacement
 from math import comb
@@ -36,13 +37,14 @@ def _deglex_key(exps: Sequence[int]) -> tuple:
 
 class Monomial:
     """An exponent vector; immutable, hashable, totally ordered by deglex.
-    The constructor checks the exponents (ints from 0 to ``EXPONENT_CAP``);
+    The constructor checks the exponents (integers by ``operator.index``,
+    from 0 to ``EXPONENT_CAP``);
     ``_of`` takes an int tuple derived from checked monomials as it is."""
 
     __slots__ = ("exponents", "degree")
 
     def __init__(self, exponents: Sequence[int]):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(map(operator.index, exponents))
         if not exps:
             raise ValueError("a monomial needs at least one ring variable")
         if any(e < 0 for e in exps):
@@ -172,6 +174,7 @@ class MonomialIdeal:
     __slots__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators: Iterable[Monomial] = ()):
+        nvars = operator.index(nvars)
         if nvars < 1:
             raise ValueError("need at least one ring variable")
         minimal = minimalize(nvars, generators)

@@ -684,7 +684,9 @@ class CwlReport(namedtuple(
 )):
     """Per-degree linearity verdicts plus the overall decision.
 
-    ``verdicts`` is a tuple of ``DegreeVerdict`` in ascending degree;
+    ``verdicts`` is a tuple of ``DegreeVerdict`` in ascending degree, up
+    to the highest generator degree, or up to the first non-linear degree
+    when ``is_componentwise_linear`` was asked to stop at a failure;
     ``vacuous`` marks the zero ideal, which passes with no degree checked.
     A linear-quotients certificate, which settles the verdict without any
     Betti number, is ``find_linear_quotient_order``'s to find.
@@ -718,6 +720,8 @@ def is_componentwise_linear(
     field: FieldChoice = RATIONALS,
     engine: str = "auto",
     budget: int = 0,
+    *,
+    stop_at_failure: bool = False,
 ) -> CwlReport:
     """Check a linear resolution for every degree component of the ideal.
 
@@ -728,16 +732,20 @@ def is_componentwise_linear(
     minimal-generator degree suffice (Herzog-Hibi, Nagoya Math. J. 1999),
     and within them a gap degree that follows a linear one is linear
     without a Betti table.  A gap degree after a non-linear one is still
-    computed.
+    computed, unless ``stop_at_failure`` is set: then the report ends at the
+    first non-linear degree, which already settles ``overall``, and no
+    later degree gets a Betti table.
 
     ``budget`` caps the generators summed over the degree components (0
     means no cap), gap degrees included.  Every component is enumerated and
     counted before any Betti table, so an ideal past the budget raises
-    ``CapacityError`` having computed none.  The sum depends on the ideal
-    alone, so the same ideals are refused on every host and thread.  The
-    ideal's exponents were checked when it was built; a component's are not
-    checked again, bar the exponent cap, which ``component`` enforces.
+    ``CapacityError`` having computed none, whether or not the report would
+    stop at a failure.  The sum depends on the ideal alone, so the same
+    ideals are refused on every host and thread.  The ideal's exponents were
+    checked when it was built; a component's are not checked again, bar the
+    exponent cap, which ``component`` enforces.
     """
+    budget = operator.index(budget)
     if budget < 0:
         raise ValueError("budget must be >= 0 (0 means no budget)")
     if ideal.is_zero():
@@ -761,6 +769,8 @@ def is_componentwise_linear(
             continue
         ok, offending = has_linear_resolution(comp, field, engine)
         verdicts.append(DegreeVerdict(d, "linear" if ok else "not linear", offending))
+        if stop_at_failure and not ok:
+            break
     overall = all(v.status != "not linear" for v in verdicts)
     return CwlReport(field, tuple(verdicts), overall)
 

@@ -17,11 +17,15 @@ A row is skipped when a cap raises ``CapacityError``.  One such cap is the
 row budget: the generators summed over the degree components a row builds
 (``is_componentwise_linear``'s ``budget``).  The count depends on the graph
 and t alone, so the same rows are skipped on every host and in any thread.
+A row's verdict is settled at its first degree without a linear resolution,
+so no Betti table is built past it (``stop_at_failure``); ``check-cwl``
+reports every degree.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time
 from collections import namedtuple
 from itertools import combinations, permutations
@@ -51,14 +55,18 @@ class SweepConfig(namedtuple(
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 1 <= self.n_min <= self.n_max <= 6:
+        given = super().__new__(cls, *args, **kwargs)
+        n_min, n_max, row_budget = map(
+            operator.index, (given.n_min, given.n_max, given.row_budget)
+        )
+        t_set = tuple(map(operator.index, given.t_set))
+        if not 1 <= n_min <= n_max <= 6:
             raise ValueError("vertex range must satisfy 1 <= n_min <= n_max <= 6")
-        if not self.t_set or any(t < 1 or t > 6 for t in self.t_set):
+        if not t_set or any(t < 1 or t > 6 for t in t_set):
             raise ValueError("t values must lie in 1..6")
-        if self.row_budget < 0:
+        if row_budget < 0:
             raise ValueError("row budget must be >= 0 (0 means no budget)")
-        return self
+        return super().__new__(cls, n_min, n_max, t_set, *given[3:7], row_budget)
 
     @classmethod
     def _make(cls, iterable):  # so that _replace validates too
@@ -185,7 +193,9 @@ def _decide(G: SimpleGraph, t: int, config: SweepConfig) -> tuple:
     """(cwl, failing degree, generator count, status) of one graph at t."""
     try:
         ideal = cover_ideal(G, t)
-        report = is_componentwise_linear(ideal, config.field, budget=config.row_budget)
+        report = is_componentwise_linear(
+            ideal, config.field, budget=config.row_budget, stop_at_failure=True
+        )
     except CapacityError as exc:
         return None, None, None, f"skipped: capacity ({exc})"
     return report.overall, report.failing_degree(), len(ideal.generators), "ok"

@@ -510,6 +510,20 @@ def test_closed_stdout_exits_141_in_silence(unbuffered, argv):
     assert (child.returncode, child.stderr) == (141, b"")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_broken_pipe_in_process_leaks_no_descriptor(monkeypatch):
+    # main is called in process, as a benchmark or a test does; on a broken
+    # pipe it points stdout's descriptor at the null device, and must close
+    # the descriptor it opened to do so.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(GENS_K12) == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_mutually_exclusive_sources(capsys):
     code, _, _ = run(capsys, "gens", "--complete", "3", "--counterexample", "--t", "1")
     assert code == 2

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coverideals.errors import CapacityError, DimensionError
 from coverideals.graphs import (
+    SimpleGraph,
     complete_graph,
     cover_ideal,
     minimal_t_covers,
@@ -23,7 +24,13 @@ from coverideals.monomials import (
     unit_monomial,
     _colon,
 )
-from coverideals.resolution import betti_table, find_linear_quotient_order, lcm_lattice
+from coverideals.resolution import (
+    betti_table,
+    find_linear_quotient_order,
+    is_componentwise_linear,
+    lcm_lattice,
+)
+from coverideals.search import SweepConfig
 
 
 def M(*exps):
@@ -316,6 +323,10 @@ def test_parse_ideal_requires_header():
 # ---------------------------------------------------------------------------
 # input checks across the library, each with its exact message
 
+# Integer inputs go through operator.index, so a float or a string is
+# refused rather than truncated or parsed.
+NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -340,12 +351,27 @@ def test_parse_ideal_requires_header():
         (lambda: betti_table(ideal(2, (1, 0)), engine="x"), ValueError, "unknown engine 'x'"),
         (lambda: find_linear_quotient_order(ideal(2, (1, 0), (0, 1)), strategy="x"),
          ValueError, "unknown strategy 'x'"),
+        (lambda: Monomial((1.5, 2)), TypeError, NOT_AN_INT % "float"),
+        (lambda: Monomial(("2", 1)), TypeError, NOT_AN_INT % "str"),
+        (lambda: SimpleGraph(3.0), TypeError, NOT_AN_INT % "float"),
+        (lambda: SimpleGraph(3, [(1, 2.7)]), TypeError, NOT_AN_INT % "float"),
+        (lambda: SimpleGraph(3, [("1", 2)]), TypeError, NOT_AN_INT % "str"),
+        (lambda: MonomialIdeal(2.5, [M(1, 0)]), TypeError, NOT_AN_INT % "float"),
+        (lambda: is_componentwise_linear(ideal(2, (1, 0)), budget=2.5e9), TypeError,
+         NOT_AN_INT % "float"),
+        (lambda: SweepConfig(n_min=3.5), TypeError, NOT_AN_INT % "float"),
+        (lambda: SweepConfig(n_max=4.0), TypeError, NOT_AN_INT % "float"),
+        (lambda: SweepConfig(t_set=(2, "3")), TypeError, NOT_AN_INT % "str"),
+        (lambda: SweepConfig(row_budget=1e3), TypeError, NOT_AN_INT % "float"),
     ],
     ids=[
         "negative-exponent", "minimalize-ring", "zero-ideal-ring",
         "zero-min-degree", "zero-max-degree", "negative-component",
         "vars-line", "cover-exponent-cap", "cover-t", "t-covers-t", "theorem-order-t",
         "graph-header", "graph-edge-line", "engine", "strategy",
+        "float-exponent", "str-exponent", "float-vertex-count", "float-endpoint",
+        "str-endpoint", "float-nvars", "float-budget", "float-n-min", "float-n-max",
+        "str-t", "float-row-budget",
     ],
 )
 def test_library_input_checks(call, error, message):

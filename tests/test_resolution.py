@@ -1284,11 +1284,26 @@ def test_budget_caps_component_generators():
         is_componentwise_linear(star, budget=-1)
 
 
-@pytest.mark.parametrize("budget", [40, 80])
-def test_budget_refuses_before_any_betti_table(monkeypatch, budget):
-    # the star K_{1,3} at t = 2: 81 component generators, the last degree
-    # alone past 40; a refused row must compute no Betti table at all
-    star = cover_ideal(SimpleGraph(4, [(1, 2), (1, 3), (1, 4)]), 2)
+STAR_K13 = SimpleGraph(4, [(1, 2), (1, 3), (1, 4)])
+
+
+@pytest.mark.parametrize(
+    "graph, budget, stop",
+    [
+        # the star K_{1,3} at t = 2: 81 component generators, the last
+        # degree alone past 40
+        pytest.param(STAR_K13, 40, False, id="40"),
+        pytest.param(STAR_K13, 80, False, id="80"),
+        # the counterexample at t = 2: 2, 8 and 21 generators in degrees
+        # 4, 5 and 6, and degree 4 fails; the later degrees still count, so
+        # a report that would stop at degree 4 is refused all the same
+        pytest.param(counterexample_graph(), 2, True, id="stop-2"),
+        pytest.param(counterexample_graph(), 30, True, id="stop-30"),
+    ],
+)
+def test_budget_refuses_before_any_betti_table(monkeypatch, graph, budget, stop):
+    # a refused row must compute no Betti table at all
+    I = cover_ideal(graph, 2)
     tables = []
 
     def counting(comp, *args):
@@ -1297,8 +1312,51 @@ def test_budget_refuses_before_any_betti_table(monkeypatch, budget):
 
     monkeypatch.setattr(resolution, "has_linear_resolution", counting)
     with pytest.raises(CapacityError, match=f"row budget of {budget}"):
-        is_componentwise_linear(star, budget=budget)
+        is_componentwise_linear(I, budget=budget, stop_at_failure=stop)
     assert tables == []
+
+
+def failing_chordal_ideals():
+    """The counterexample at t = 2, 3, 4, then one graph of every chordal
+    class on 5 vertices at t = 2 and 3 whose cover ideal is not CWL."""
+    ideals = [cover_ideal(counterexample_graph(), t) for t in (2, 3, 4)]
+    config = search.SweepConfig(n_min=5, n_max=5, chordal_only=True)
+    firsts = {}
+    for G, cls, _ in search._classified_graphs(config):
+        firsts.setdefault(cls, G)
+    for t in (2, 3):
+        for G in firsts.values():
+            I = cover_ideal(G, t)
+            if not is_componentwise_linear(I).overall:
+                ideals.append(I)
+    return ideals
+
+
+def test_stop_at_failure_ends_the_report_at_its_first_failing_degree(monkeypatch):
+    degrees = []
+
+    def counting(comp, *args):
+        degrees.append(comp.generators[0].degree)
+        return has_linear_resolution(comp, *args)
+
+    monkeypatch.setattr(resolution, "has_linear_resolution", counting)
+    ideals = failing_chordal_ideals()
+    assert len(ideals) == 3 + 6
+    skipped = 0
+    for I in ideals:
+        degrees.clear()
+        full = is_componentwise_linear(I)
+        full_degrees = degrees[:]
+        degrees.clear()
+        stopped = is_componentwise_linear(I, stop_at_failure=True)
+        failing = full.failing_degree()
+        head = [v for v in full.verdicts if v.degree <= failing]
+        assert stopped == CwlReport(full.field, tuple(head), False)
+        assert stopped.failing_degree() == failing
+        # the same Betti tables up to the failing degree, none after it
+        assert degrees == [d for d in full_degrees if d <= failing]
+        skipped += len(full_degrees) - len(degrees)
+    assert skipped > 0
 
 
 def brute_force_verdicts(I, field):

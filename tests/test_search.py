@@ -157,14 +157,31 @@ def test_orbits_partition_the_edge_masks():
 
 
 def test_records_match_fresh_verdicts():
-    # differential check: class reuse against one computation per graph
-    records, _ = sweep(SweepConfig(n_min=3, n_max=4, t_set=(1, 2)))
+    # differential check: class reuse and stopped reports against one full,
+    # unstopped report per graph
+    records, _ = sweep(SweepConfig(n_min=3, n_max=4, t_set=(1, 2, 3)))
     for r in records:
         ideal = cover_ideal(SimpleGraph(r.n, r.edges), r.t)
         fresh = is_componentwise_linear(ideal)
         assert r.cwl == fresh.overall
         assert r.failing_degree == fresh.failing_degree()
         assert r.generator_count == len(ideal.generators)
+
+
+def test_sweep_rows_stop_at_their_first_failing_degree(monkeypatch):
+    # the counterexample's class fails at degree 2t and has components up
+    # to degree 3t; a row's report must end at the failure
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(is_componentwise_linear(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(search, "is_componentwise_linear", recording)
+    sweep(SweepConfig(n_min=4, n_max=4, t_set=(2, 3), chordal_only=True))
+    failing = [r for r in reports if not r.overall]
+    assert [r.failing_degree() for r in failing] == [4, 6]
+    assert all(r.verdicts[-1].degree == r.failing_degree() for r in failing)
 
 
 def test_reports_are_deterministic_modulo_timing():
