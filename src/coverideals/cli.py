@@ -107,7 +107,7 @@ def _cmd_gens(args) -> int:
     if args.t is None or args.t < 1:
         raise ValueError("gens needs --t >= 1")
     ideal = cover_ideal(_resolve_graph(args), args.t)
-    gens = [format_monomial(g) for g in ideal.generators]
+    gens = list(map(format_monomial, ideal.generators))
     if args.format == "json":
         print(
             json.dumps(
@@ -135,7 +135,7 @@ def _cmd_check_cwl(args) -> int:
         certificate = find_linear_quotient_order(ideal)
     if args.format == "json":
         out = report.to_json_dict()
-        out["certificate"] = [str(m) for m in certificate] if certificate else None
+        out["certificate"] = list(map(format_monomial, certificate)) if certificate else None
         print(json.dumps(out, sort_keys=True))
     else:
         for v in report.verdicts:
@@ -150,7 +150,7 @@ def _cmd_check_cwl(args) -> int:
         )
         if certificate:
             print("linear-quotients certificate:")
-            print(_wrap([str(m) for m in certificate]))
+            print(_wrap(list(map(format_monomial, certificate))))
     return 0 if report.overall else 1
 
 
@@ -199,24 +199,25 @@ def _cmd_quotients(args) -> int:
         else:
             out = {
                 "ok": result.ok,
-                "order": [str(m) for m in order],
-                "steps": [[str(m) for m in step] for step in result.steps],
+                "order": list(map(format_monomial, order)),
+                "steps": [list(map(format_monomial, step)) for step in result.steps],
             }
         if not result.ok:
             out["failing_index"] = result.failing_index
-            out["offending"] = str(result.offending)
+            out["offending"] = format_monomial(result.offending)
         print(json.dumps(out, sort_keys=True))
     elif result.ok:
         print("linear quotients hold for the order:")
-        print(_wrap([str(m) for m in order]))
+        print(_wrap(list(map(format_monomial, order))))
         for k, step in enumerate(result.steps, start=2):
-            print(f"  step {k}: colon = <{', '.join(str(m) for m in step)}>")
+            print(f"  step {k}: colon = <{', '.join(map(format_monomial, step))}>")
     else:
         if searched:
             print(f"no linear-quotients order found (strategy {args.order})")
         print(
             f"{'deglex order' if searched else 'order'} fails at position "
-            f"{result.failing_index}: colon generator {result.offending} has degree != 1"
+            f"{result.failing_index}: colon generator {format_monomial(result.offending)} "
+            "has degree != 1"
         )
     return 0 if result.ok else 1
 
@@ -246,8 +247,8 @@ def _cmd_polymatroidal(args) -> int:
                     None
                     if witness is None
                     else {
-                        "u": str(witness[0]),
-                        "v": str(witness[1]),
+                        "u": format_monomial(witness[0]),
+                        "v": format_monomial(witness[1]),
                         "i": witness[2],
                     }
                 ),

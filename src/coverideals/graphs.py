@@ -12,11 +12,12 @@ A graph on n vertices (labelled 1..n) turns into ideals of k[x1..xn]:
 from __future__ import annotations
 
 import operator
+import re
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError
-from .monomials import EXPONENT_CAP, Monomial, MonomialIdeal, _minimal_exponents, minimalize
+from .monomials import EXPONENT_CAP, MonomialIdeal, _checked, _minimal_exponents, minimalize
 
 SCAN_STATES_CAP = 50_000_000
 
@@ -32,7 +33,11 @@ class SimpleGraph:
             raise ValueError("need at least one vertex")
         norm = set()
         for e in edges:
-            u, v = operator.index(e[0]), operator.index(e[1])
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of vertices") from None
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= nvertices and 1 <= v <= nvertices):
@@ -202,8 +207,8 @@ def cover_ideal(G: SimpleGraph, t: int) -> MonomialIdeal:
     iterated edge by edge on exponent tuples (``_edge_step``), merging edges
     that share high-numbered vertices last, which scales past the t-cover
     scan's n <= 8 comfort zone.  Each step is reduced to its minimal
-    vectors once; ``Monomial`` objects, unchecked as t is at most the cap,
-    are built for the last step's candidates only, which ``minimalize`` reduces.
+    vectors once, and the last step's candidates are reduced, and checked,
+    by ``minimalize``.
     """
     if t < 1:
         raise ValueError("cover order t must be >= 1")
@@ -216,7 +221,7 @@ def cover_ideal(G: SimpleGraph, t: int) -> MonomialIdeal:
     gens = [(0,) * n]
     for a, b in edges:
         gens = _minimal_exponents(_edge_step(gens, a - 1, b - 1, t))
-    return minimalize(n, map(Monomial._of, _edge_step(gens, u - 1, v - 1, t)))
+    return minimalize(n, _edge_step(gens, u - 1, v - 1, t))
 
 
 def knt_closed_form(n: int, t: int) -> MonomialIdeal:
@@ -231,28 +236,29 @@ def knt_closed_form(n: int, t: int) -> MonomialIdeal:
     return MonomialIdeal(n, theorem_order(n, t))
 
 
-def theorem_order(n: int, t: int) -> list[Monomial]:
+def theorem_order(n: int, t: int) -> list[tuple[int, ...]]:
     """The closed-form generators in their quotient-friendly listing: rows of
     ascending total degree, j = 1..n inside each row, the all-variables
     monomial first when t is even.  Successive colon ideals along this order
-    are generated by single variables."""
+    are generated by single variables.  Each monomial is checked as it is
+    built, as an ideal's generators are."""
     if n < 3:
         raise ValueError("closed form needs a complete graph on n >= 3 vertices")
     if t < 1:
         raise ValueError("cover order t must be >= 1")
-    order: list[Monomial] = []
+    order: list[tuple[int, ...]] = []
     m, odd = divmod(t, 2)
     if odd:
         deficiencies = range(m, -1, -1)  # x_j exponent m, m-1, ..., 0
     else:
-        order.append(Monomial((m,) * n))
+        order.append(_checked((m,) * n, n))
         deficiencies = range(m - 1, -1, -1)
     high = m + 1
     for deficiency in deficiencies:
         for j in range(1, n + 1):
             exps = [high] * n
             exps[j - 1] = deficiency
-            order.append(Monomial(exps))
+            order.append(_checked(exps, n))
         high += 1
     return order
 
@@ -262,10 +268,10 @@ def parse_graph(text: str) -> SimpleGraph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("graph"):
         raise ValueError("graph file must start with a 'graph <n>' line")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad graph header {lines[0]!r}") from exc
+    header = re.fullmatch(r"graph\s+([+-]?\d+)", lines[0])
+    if header is None:
+        raise ValueError(f"bad graph header {lines[0]!r}")
+    n = int(header.group(1))
     edges = []
     for ln in lines[1:]:
         try:

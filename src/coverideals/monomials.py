@@ -1,14 +1,15 @@
 """Exact arithmetic with monomials and monomial ideals.
 
-A monomial is an exponent vector over a fixed number of ring variables
-x1..xn; a monomial ideal is its unique minimal generating set.  Everything
-here is integer arithmetic: divisibility, minimal generators, the colon
-step that linear quotients read (``_colon``), degree components, and the
-degree-lex order used to list generators canonically.  The one intersection
-the package computes, the cover ideal's, is ``graphs.cover_ideal``.
-Exponents are checked where monomials enter (``Monomial(...)``,
-``parse_monomial``), not again in what is computed from them: colons and
-components.
+A monomial is its exponent vector over a fixed number of ring variables
+x1..xn, a tuple of ints; a monomial ideal is its unique minimal generating
+set.  Everything here is integer arithmetic: divisibility, minimal
+generators, the colon step that linear quotients read (``_colon``), degree
+components, and the degree-lex order used to list generators canonically.
+The one intersection the package computes, the cover ideal's, is
+``graphs.cover_ideal``.  ``MonomialIdeal`` is the one checked type:
+exponents are checked where monomials enter (``minimalize``, and through it
+``MonomialIdeal(...)``, and ``parse_monomial``), not again in what is
+computed from them: colons and components.
 
 Text format (files and CLI): ``x1^2*x3`` with ``1`` for the unit monomial.
 Ideal files start with a ``vars <n>`` line followed by one monomial per line.
@@ -35,77 +36,24 @@ def _deglex_key(exps: Sequence[int]) -> tuple:
     return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
-class Monomial:
-    """An exponent vector; immutable, hashable, totally ordered by deglex.
-    The constructor checks the exponents (integers by ``operator.index``,
-    from 0 to ``EXPONENT_CAP``);
-    ``_of`` takes an int tuple derived from checked monomials as it is."""
-
-    __slots__ = ("exponents", "degree")
-
-    def __init__(self, exponents: Sequence[int]):
-        exps = tuple(map(operator.index, exponents))
-        if not exps:
-            raise ValueError("a monomial needs at least one ring variable")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        if max(exps) > EXPONENT_CAP:
-            raise CapacityError(f"exponent {max(exps)} exceeds the cap {EXPONENT_CAP}")
-        self.exponents = exps
-        self.degree = sum(exps)
-
-    @classmethod
-    def _of(cls, exps: tuple[int, ...]) -> "Monomial":
-        m = object.__new__(cls)
-        m.exponents, m.degree = exps, sum(exps)
-        return m
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exponents)
-
-    def _check_same_ring(self, other: "Monomial") -> None:
-        if len(self.exponents) != len(other.exponents):
-            raise DimensionError(
-                f"monomials in {len(self.exponents)} and "
-                f"{len(other.exponents)} variables"
-            )
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check_same_ring(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def deglex_key(self):
-        return _deglex_key(self.exponents)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        self._check_same_ring(other)
-        return self.deglex_key() < other.deglex_key()
-
-    def __le__(self, other: "Monomial") -> bool:
-        self._check_same_ring(other)
-        return self.deglex_key() <= other.deglex_key()
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.exponents!r})"
-
-    def __str__(self) -> str:
-        return format_monomial(self)
+def _checked(exponents: Iterable[int], nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a monomial entering the package, once checked:
+    ``nvars`` integers (by ``operator.index``) from 0 to ``EXPONENT_CAP``."""
+    exps = tuple(map(operator.index, exponents))
+    if not exps:
+        raise ValueError("a monomial needs at least one ring variable")
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    if max(exps) > EXPONENT_CAP:
+        raise CapacityError(f"exponent {max(exps)} exceeds the cap {EXPONENT_CAP}")
+    if len(exps) != nvars:
+        raise DimensionError(f"monomial in {len(exps)} variables, expected {nvars}")
+    return exps
 
 
-def unit_monomial(nvars: int) -> Monomial:
-    return Monomial((0,) * nvars)
-
-
-def format_monomial(m: Monomial) -> str:
+def format_monomial(exps: Sequence[int]) -> str:
     parts = []
-    for i, e in enumerate(m.exponents, start=1):
+    for i, e in enumerate(exps, start=1):
         if e == 1:
             parts.append(f"x{i}")
         elif e > 1:
@@ -116,12 +64,10 @@ def format_monomial(m: Monomial) -> str:
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def parse_monomial(text: str, nvars: int) -> Monomial:
+def parse_monomial(text: str, nvars: int) -> tuple[int, ...]:
     text = text.strip()
-    if text == "1":
-        return unit_monomial(nvars)
     exps = [0] * nvars
-    for factor in text.split("*"):
+    for factor in text.split("*") if text != "1" else ():
         m = _FACTOR_RE.match(factor.strip())
         if m is None:
             raise ValueError(f"cannot parse monomial factor {factor!r}")
@@ -131,10 +77,10 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
         if exp < 1:
             raise ValueError(f"exponent must be >= 1 in {factor!r}")
         exps[idx - 1] += exp
-    return Monomial(exps)
+    return _checked(exps, nvars)
 
 
-def _minimal_exponents(exponents: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _minimal_exponents(exponents: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal exponent vectors among ``exponents``, once
     each, in deglex order."""
     kept: list[tuple[int, ...]] = []
@@ -142,30 +88,25 @@ def _minimal_exponents(exponents: Iterable[tuple[int, ...]]) -> list[tuple[int, 
         # earlier entries have lower or equal degree, so only they can divide e
         if not any(all(map(le, k, e)) for k in kept):
             kept.append(e)
-    return kept
+    return tuple(kept)
 
 
-def minimalize(nvars: int, monomials: Iterable[Monomial]) -> "MonomialIdeal":
-    """Keep only the divisibility-minimal monomials; empty input gives the
-    zero ideal."""
-    pool = {}
-    for m in monomials:
-        if m.nvars != nvars:
-            raise DimensionError(f"monomial in {m.nvars} variables, expected {nvars}")
-        pool[m.exponents] = m
-    kept = _minimal_exponents(pool)
-    return MonomialIdeal._from_minimal(nvars, tuple(map(pool.__getitem__, kept)))
+def minimalize(nvars: int, monomials: Iterable[Sequence[int]]) -> "MonomialIdeal":
+    """Keep only the divisibility-minimal monomials, each checked first;
+    empty input gives the zero ideal."""
+    return MonomialIdeal._from_minimal(
+        nvars, _minimal_exponents(_checked(m, nvars) for m in monomials))
 
 
-def _colon(gens: Iterable[Monomial], f: Monomial) -> tuple[Monomial, ...]:
+def _colon(gens: Iterable[tuple[int, ...]], f: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of (gens) : f in deglex order, for any generating
     set: the g / gcd(g, f) generate the colon."""
-    return tuple(map(Monomial._of, _minimal_exponents(
-        tuple(map(sub, g.exponents, map(min, g.exponents, f.exponents))) for g in gens)))
+    return _minimal_exponents(tuple(map(sub, g, map(min, g, f))) for g in gens)
 
 
 class MonomialIdeal:
-    """A monomial ideal stored as its minimal generators in deglex order.
+    """A monomial ideal stored as its minimal generators, exponent tuples in
+    deglex order.
 
     The zero ideal has no generators; the unit ideal is generated by the
     monomial 1.  Construction minimalizes, so any generating set is accepted.
@@ -173,13 +114,12 @@ class MonomialIdeal:
 
     __slots__ = ("nvars", "generators")
 
-    def __init__(self, nvars: int, generators: Iterable[Monomial] = ()):
+    def __init__(self, nvars: int, generators: Iterable[Sequence[int]] = ()):
         nvars = operator.index(nvars)
         if nvars < 1:
             raise ValueError("need at least one ring variable")
-        minimal = minimalize(nvars, generators)
         self.nvars = nvars
-        self.generators = minimal.generators
+        self.generators = minimalize(nvars, generators).generators
 
     @classmethod
     def _from_minimal(cls, nvars: int, gens: tuple) -> "MonomialIdeal":
@@ -190,7 +130,7 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
-        return cls._from_minimal(nvars, (unit_monomial(nvars),))
+        return cls._from_minimal(nvars, ((0,) * nvars,))
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -206,21 +146,21 @@ class MonomialIdeal:
         return hash((self.nvars, self.generators))
 
     def __repr__(self) -> str:
-        gens = ", ".join(str(g) for g in self.generators)
+        gens = ", ".join(map(format_monomial, self.generators))
         return f"MonomialIdeal({self.nvars}, <{gens}>)"
 
     def degrees(self) -> list[int]:
-        return [g.degree for g in self.generators]
+        return list(map(sum, self.generators))
 
     def min_degree(self) -> int:
         if self.is_zero():
             raise ValueError("zero ideal has no generator degrees")
-        return self.generators[0].degree
+        return sum(self.generators[0])
 
     def max_degree(self) -> int:
         if self.is_zero():
             raise ValueError("zero ideal has no generator degrees")
-        return self.generators[-1].degree
+        return sum(self.generators[-1])
 
     def is_equigenerated(self) -> bool:
         return self.is_zero() or self.min_degree() == self.max_degree()
@@ -232,7 +172,7 @@ class MonomialIdeal:
         in self (monomials of one degree never divide each other).  The
         enumeration cap is checked per generator; the exponent cap once,
         after enumeration, naming the largest exponent of the deglex-first
-        monomial past it, which is the checking constructor's text.
+        monomial past it, which is the text of an entry check (``_checked``).
         """
         if d < 0:
             raise ValueError("negative degree")
@@ -240,7 +180,7 @@ class MonomialIdeal:
         n = self.nvars
         over = False  # some multiple is past the exponent cap
         for g in self.generators:
-            k = d - g.degree
+            k = d - sum(g)
             if k < 0:
                 continue
             count = comb(k + n - 1, n - 1)  # multisets of k of the n variables
@@ -249,9 +189,9 @@ class MonomialIdeal:
                     f"enumerating the degree-{d} component needs {count} "
                     "multiples per generator; beyond the enumeration cap"
                 )
-            over |= max(g.exponents) + k > EXPONENT_CAP
+            over |= max(g) + k > EXPONENT_CAP
             for extra in combinations_with_replacement(range(n), k):
-                exps = list(g.exponents)
+                exps = list(g)
                 for i in extra:
                     exps[i] += 1
                 seen.add(tuple(exps))
@@ -260,7 +200,7 @@ class MonomialIdeal:
             raise CapacityError(f"exponent {max(first)} exceeds the cap {EXPONENT_CAP}")
         # one degree, so deglex is descending order of the reversed exponents
         exps = sorted(seen, reverse=True, key=itemgetter(*reversed(range(n))))
-        return MonomialIdeal._from_minimal(n, tuple(map(Monomial._of, exps)))
+        return MonomialIdeal._from_minimal(n, tuple(exps))
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -268,10 +208,10 @@ def parse_ideal(text: str) -> MonomialIdeal:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vars"):
         raise ValueError("ideal file must start with a 'vars <n>' line")
-    try:
-        nvars = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad vars line {lines[0]!r}") from exc
+    header = re.fullmatch(r"vars\s+([+-]?\d+)", lines[0])
+    if header is None:
+        raise ValueError(f"bad vars line {lines[0]!r}")
+    nvars = int(header.group(1))
     gens = [parse_monomial(ln, nvars) for ln in lines[1:]]
     return MonomialIdeal(nvars, gens)
 

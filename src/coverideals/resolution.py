@@ -63,9 +63,9 @@ from math import comb, factorial, prod
 from operator import getitem, itemgetter, le
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CapacityError, NotEquigeneratedError
+from .errors import CapacityError, DimensionError, NotEquigeneratedError
 from .linalg import matrix_rank
-from .monomials import Monomial, MonomialIdeal, _colon
+from .monomials import MonomialIdeal, _checked, _colon, format_monomial
 
 # Generator count past which the subset-complex engine refuses an ideal and
 # ``engine="auto"`` switches to the lcm-lattice engine.
@@ -347,8 +347,7 @@ def taylor_strand_betti(
             f"{g} generators exceeds the subset-complex cap {TAYLOR_CAP}; "
             "use koszul_betti"
         )
-    exps = [m.exponents for m in gens]
-    values = [sorted(set(axis)) for axis in zip(*exps)]
+    values = [sorted(set(axis)) for axis in zip(*gens)]
     fields = []  # (offset, width mask, grid values) per axis
     offset = 0
     for vs in values:
@@ -356,7 +355,7 @@ def taylor_strand_betti(
         offset += len(vs) - 1
     codes = [
         sum(((1 << vs.index(v)) - 1) << off for v, (off, _, vs) in zip(e, fields))
-        for e in exps
+        for e in gens
     ]
     # lcm_of[mask]: code of the lcm of the generators in mask, built one
     # generator at a time (the masks holding generator k are those below
@@ -404,8 +403,8 @@ class _DivisorBox:
     __slots__ = ("size", "values", "strides", "offsets", "up", "gens", "member")
 
     def __init__(self, ideal: MonomialIdeal):
-        exps = [g.exponents for g in ideal.generators]
-        self.values = values = [sorted({0, *c}) for c in zip(*exps)] or [[0]] * ideal.nvars
+        gens = ideal.generators
+        self.values = values = [sorted({0, *c}) for c in zip(*gens)] or [[0]] * ideal.nvars
         lengths = [len(v) for v in values]
         self.size = size = prod(lengths)
         if size > BOX_CAP:
@@ -426,7 +425,7 @@ class _DivisorBox:
                 up, width = up | up << width, 2 * width
             self.up.append(up & (1 << size) - 1)
         bits = bytearray(size + 7 >> 3)  # read little-endian, bit idx is cell idx
-        for idx in map(self.index, exps):
+        for idx in map(self.index, gens):
             bits[idx >> 3] |= 1 << (idx & 7)
         self.gens = int.from_bytes(bits, "little")
         self.member = self.sweep(self.gens, range(len(values)))
@@ -582,7 +581,7 @@ def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:
     hold the same values, and only against the first member of a class, as
     twinness is transitive ((i k) = (i j)(j k)(i j))."""
     n = ideal.nvars
-    exps = [g.exponents for g in ideal.generators]
+    exps = ideal.generators
     gens = set(exps)
     columns = list(map(sorted, zip(*exps))) or [[]] * n
     classes: list[list[int]] = []
@@ -789,21 +788,26 @@ class QuotientsResult(namedtuple(
     __slots__ = ()
 
 
-def linear_quotients_check(gens: Sequence[Monomial]) -> QuotientsResult:
-    """Do the successive colon ideals of this exact listing stay generated
-    by single variables?  Stops at the first failing step."""
+def linear_quotients_check(gens: Sequence[tuple[int, ...]]) -> QuotientsResult:
+    """Do the successive colon ideals of this exact listing of exponent
+    tuples stay generated by single variables?  Stops at the first failing
+    step."""
     if not gens:
         raise ValueError("empty generator list")
+    gens = [_checked(g, len(g)) for g in gens]  # lengths are compared in pairs below
     if len(set(gens)) != len(gens):
         raise ValueError("generator list has duplicates")
     for f, h in combinations(gens, 2):
-        if f.divides(h) or h.divides(f):
-            raise ValueError(f"{f} and {h} are not both minimal generators")
-    steps: list[tuple[Monomial, ...]] = []
+        if len(f) != len(h):
+            raise DimensionError(f"monomials in {len(f)} and {len(h)} variables")
+        if all(map(le, f, h)) or all(map(le, h, f)):
+            raise ValueError(f"{format_monomial(f)} and {format_monomial(h)} "
+                             "are not both minimal generators")
+    steps: list[tuple[tuple[int, ...], ...]] = []
     for k in range(2, len(gens) + 1):
         colon = _colon(gens[: k - 1], gens[k - 1])
         steps.append(colon)
-        bad = next((m for m in colon if m.degree != 1), None)
+        bad = next((m for m in colon if sum(m) != 1), None)
         if bad is not None:
             return QuotientsResult(False, tuple(steps), k, bad)
     return QuotientsResult(True, tuple(steps))
@@ -811,7 +815,7 @@ def linear_quotients_check(gens: Sequence[Monomial]) -> QuotientsResult:
 
 def find_linear_quotient_order(
     ideal: MonomialIdeal, strategy: str = "deglex"
-) -> Optional[list[Monomial]]:
+) -> Optional[list[tuple[int, ...]]]:
     """Search for a generator listing with linear quotients.
 
     ``deglex`` tests the stored deglex listing; ``backtracking`` explores every
@@ -828,7 +832,7 @@ def find_linear_quotient_order(
     if strategy == "deglex":
         # an ideal's generators are distinct and minimal, so only the colon
         # ideals are left to check
-        ok = all(m.degree == 1
+        ok = all(sum(m) == 1
                  for k in range(1, len(gens)) for m in _colon(gens[:k], gens[k]))
         return gens if ok else None
     if len(gens) > BACKTRACKING_CAP:
@@ -837,19 +841,19 @@ def find_linear_quotient_order(
             f"{BACKTRACKING_CAP}"
         )
     failed: set[frozenset] = set()
-    chosen: list[Monomial] = []
+    chosen: list[tuple[int, ...]] = []
 
-    def search(remaining: list[Monomial]) -> bool:
+    def search(remaining: list[tuple[int, ...]]) -> bool:
         if not remaining:
             return True
         state = frozenset(chosen)
         if state in failed:
             return False
-        min_deg = min(m.degree for m in remaining)
-        for f in remaining:  # remaining stays deglex-sorted
-            if f.degree != min_deg:
+        min_deg = sum(remaining[0])  # remaining stays deglex-sorted
+        for f in remaining:
+            if sum(f) != min_deg:
                 break  # degree-nondecreasing orders only
-            if chosen and any(m.degree != 1 for m in _colon(chosen, f)):
+            if chosen and any(sum(m) != 1 for m in _colon(chosen, f)):
                 continue
             chosen.append(f)
             rest = [m for m in remaining if m is not f]
@@ -870,7 +874,7 @@ def find_linear_quotient_order(
 
 def polymatroidal_check(
     ideal: MonomialIdeal,
-) -> tuple[bool, Optional[tuple[Monomial, Monomial, int]]]:
+) -> tuple[bool, Optional[tuple[tuple[int, ...], tuple[int, ...], int]]]:
     """Exchange condition on an equigenerated ideal: whenever u has a larger
     exponent than v at position i, some j with a smaller exponent makes
     x_j * u / x_i a generator again.  Returns (verdict, witness (u, v, i)
@@ -880,21 +884,20 @@ def polymatroidal_check(
             f"generator degrees {sorted(set(ideal.degrees()))} are not equal"
         )
     gens = ideal.generators
-    gen_set = {g.exponents for g in gens}
+    gen_set = set(gens)
     n = ideal.nvars
     for u in gens:
         for v in gens:
             if u is v:
                 continue
-            ue, ve = u.exponents, v.exponents
             for i in range(n):
-                if ue[i] <= ve[i]:
+                if u[i] <= v[i]:
                     continue
                 found = False
                 for j in range(n):
-                    if ue[j] >= ve[j]:
+                    if u[j] >= v[j]:
                         continue
-                    swapped = list(ue)
+                    swapped = list(u)
                     swapped[i] -= 1
                     swapped[j] += 1
                     if tuple(swapped) in gen_set:

@@ -234,13 +234,15 @@ def test_betti_component_past_the_exponent_cap(tmp_path, capsys, text, degree, s
         ("search --n 3 --t 1,x", 2, "",
          "error: bad --t list '1,x': expected comma-separated integers\n"),
         ("gens --graph {edge} --t 1", 2, "", "error: bad edge line '1 x'\n"),
+        ("check-cwl --ideal {header}", 2, "", "error: bad vars line 'vars 2 junk'\n"),
     ],
 )
 def test_source_checks_and_zero_components(tmp_path, capsys, argv, code, out, err):
-    paths = {name: tmp_path / f"{name}.ideal" for name in ("x1", "zero")}
+    paths = {name: tmp_path / f"{name}.ideal" for name in ("x1", "zero", "header")}
     paths["edge"] = tmp_path / "edge.graph"
     paths["x1"].write_text("vars 2\nx1\n")
     paths["zero"].write_text("vars 2\n")
+    paths["header"].write_text("vars 2 junk\nx1\n")
     paths["edge"].write_text("graph 3\n1 x\n")
     assert run(capsys, *(a.format(**paths) for a in argv.split())) == (code, out, err)
 

@@ -18,7 +18,7 @@ from coverideals.graphs import (
     cover_ideal,
 )
 from coverideals.linalg import matrix_rank
-from coverideals.monomials import EXPONENT_CAP, Monomial, MonomialIdeal
+from coverideals.monomials import EXPONENT_CAP, MonomialIdeal
 from coverideals.resolution import (
     BOX_CAP,
     RATIONALS,
@@ -41,18 +41,14 @@ from test_linalg import reference_rank
 F2 = FieldChoice(2)
 
 
-def M(*exps):
-    return Monomial(exps)
-
-
 def ideal(n, *exps):
-    return MonomialIdeal(n, [Monomial(e) for e in exps])
+    return MonomialIdeal(n, exps)
 
 
 def random_small_ideal(rng):
     n = rng.randint(1, 4)
     gens = [
-        Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+        tuple(rng.randint(0, 3) for _ in range(n))
         for _ in range(rng.randint(1, 6))
     ]
     return MonomialIdeal(n, gens)
@@ -88,8 +84,8 @@ def test_records_are_hashable_immutable_values():
     assert report == CwlReport(FieldChoice(2), (DegreeVerdict(4, "not linear", (1, 6)),), False)
     assert hash(report) == hash(CwlReport(F2, (verdict,), False, False))
     assert (report.vacuous, report.failing_degree()) == (False, 4)
-    quotients = resolution.linear_quotients_check([M(1, 0), M(0, 1)])
-    assert quotients == resolution.QuotientsResult(True, ((M(1, 0),),))
+    quotients = resolution.linear_quotients_check([(1, 0), (0, 1)])
+    assert quotients == resolution.QuotientsResult(True, (((1, 0),),))
     for record, name in ((RATIONALS, "p"), (verdict, "status"), (report, "overall"),
                          (quotients, "ok")):
         with pytest.raises(AttributeError):
@@ -224,7 +220,7 @@ def test_beta_zero_counts_generators_by_degree():
     ):
         hist = {}
         for g in I.generators:
-            hist[g.degree] = hist.get(g.degree, 0) + 1
+            hist[sum(g)] = hist.get(sum(g), 0) + 1
         for table in (taylor_strand_betti(I), koszul_betti(I)):
             assert generator_histogram(table) == hist
 
@@ -247,7 +243,7 @@ def test_divisor_box_cap_raises_before_allocating():
     # check precedes the fill, so refusing this box stays cheap.
     n = BOX_CAP.bit_length()
     I = MonomialIdeal(
-        n, [Monomial(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        n, [tuple(int(i == j) for i in range(n)) for j in range(n)]
     )
     with pytest.raises(CapacityError, match="cap"):
         koszul_betti(I)
@@ -257,7 +253,7 @@ def test_divisor_box_cap_raises_before_allocating():
 
 def test_divisor_box_of_exactly_box_cap_cells_is_accepted():
     # x1 * ... * x21 spans 2^21 = BOX_CAP cells: the cap refuses only past it
-    assert lcm_lattice(MonomialIdeal(21, [Monomial((1,) * 21)])) == [(1,) * 21]
+    assert lcm_lattice(MonomialIdeal(21, [(1,) * 21])) == [(1,) * 21]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +297,7 @@ def gapped_ideals(draw):
     grid = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
     exps = st.tuples(*[st.sampled_from(grid)] * n)
     gens = draw(st.lists(exps, min_size=0, max_size=7))
-    return MonomialIdeal(n, [Monomial(e) for e in gens])
+    return MonomialIdeal(n, gens)
 
 
 def _rank_f2(columns):
@@ -322,7 +318,7 @@ def reference_betti_f2(I, lattice):
     dimension i-1 of the upper Koszul complex {b <= supp(a) : x^(a-b) in I},
     with membership decided by divisibility and ranks by ``_rank_f2``; it
     shares no code with either engine."""
-    gens = [g.exponents for g in I.generators]
+    gens = list(I.generators)
     table = {}
     for a in lattice:
         support = [k for k, e in enumerate(a) if e]
@@ -357,7 +353,7 @@ def assert_orbit_sizes_add_up(table):
 
 
 def assert_koszul_matches_oracles(I):
-    gens = [g.exponents for g in I.generators]
+    gens = list(I.generators)
     lcms = {
         tuple(map(max, zip(*subset)))
         for r in range(1, len(gens) + 1)
@@ -397,7 +393,7 @@ def _six_variable_ideals():
     rng = random.Random(2009)
     return [
         MonomialIdeal(6, [
-            Monomial(tuple(rng.choice((0, 2, 3, 5, 7)) for _ in range(6)))
+            tuple(rng.choice((0, 2, 3, 5, 7)) for _ in range(6))
             for _ in range(rng.randint(5, 9))
         ])
         for _ in range(6)
@@ -429,7 +425,7 @@ EDGE_IDEALS = [
 def test_divisor_box_planes_on_edge_cases(I):
     if I.nvars == 6:  # planes of many 64-bit words, shifted by more than one
         assert resolution._DivisorBox(I).strides[0] > 64
-    exps = [g.exponents for g in I.generators]
+    exps = list(I.generators)
     if len(exps) == TAYLOR_CAP:  # the WIDE ideals
         assert all(len(set(axis)) == TAYLOR_CAP for axis in zip(*exps))
         assert sum(map(max, zip(*exps))) > 64
@@ -441,7 +437,7 @@ def brute_force_planes(I):
     in the order ``product`` walks the grid values (the last axis fastest):
     up[i] holds the cells off the least value of axis i, gens the
     generators, member the cells some generator divides."""
-    gens = [g.exponents for g in I.generators]
+    gens = list(I.generators)
     values = [sorted({0, *(e[i] for e in gens)}) for i in range(I.nvars)]
     up, gen_plane, member = [0] * I.nvars, 0, 0
     for idx, cell in enumerate(product(*values)):
@@ -461,7 +457,7 @@ def test_divisor_box_planes_match_a_per_cell_brute_force():
     for _ in range(60):
         n = rng.randint(1, 5)
         corpus.append(MonomialIdeal(n, [
-            Monomial(tuple(rng.randint(0, 4) for _ in range(n)))
+            tuple(rng.randint(0, 4) for _ in range(n))
             for _ in range(rng.randint(1, 8))
         ]))
     sizes, strides = set(), set()
@@ -478,7 +474,7 @@ def test_divisor_box_planes_match_a_per_cell_brute_force():
 def taylor_strata(I):
     """Non-empty generator subsets, as bitmasks in ascending order, grouped
     by the exponent vector of their lcm."""
-    gens = [g.exponents for g in I.generators]
+    gens = list(I.generators)
     strata = defaultdict(list)
     for mask in range(1, 1 << len(gens)):
         members = [e for k, e in enumerate(gens) if mask >> k & 1]
@@ -527,7 +523,7 @@ def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
     assert len(CONE_COMPONENT.generators) == TAYLOR_CAP
     skipped = []  # cone strata per ideal
     for I in _cone_corpus():
-        gens = [g.exponents for g in I.generators]
+        gens = list(I.generators)
         unpruned, kept, cones = {}, set(), 0
         for m, masks in taylor_strata(I).items():
             ranks = homology(masks, field)
@@ -586,7 +582,7 @@ def reference_complexes(I):
     last axis stepped down is one when m <= e - 1."""
     if I in REFERENCE_COMPLEXES:
         return REFERENCE_COMPLEXES[I]
-    gens = sorted((g.exponents for g in I.generators), key=itemgetter(-1))
+    gens = sorted(I.generators, key=itemgetter(-1))
     below = [
         [sum(1 << j for j, e in enumerate(gens) if e[k] <= v) for v in range(max(column) + 1)]
         for k, column in enumerate(zip(*gens))
@@ -760,7 +756,7 @@ def block_symmetric_ideal(n, blocks, seeds):
                 for src, dst in zip(block, image):
                     f[dst] = e[src]
             gens.add(tuple(f))
-    return MonomialIdeal(n, [Monomial(f) for f in gens])
+    return MonomialIdeal(n, gens)
 
 
 def _symmetric_ideals(count=40):
@@ -781,7 +777,7 @@ def _symmetric_ideals(count=40):
 
 def grid_values(I):
     """Per variable, the generators' exponents in it, plus 0, sorted."""
-    return [sorted({0, *(g.exponents[i] for g in I.generators)}) for i in range(I.nvars)]
+    return [sorted({0, *(g[i] for g in I.generators)}) for i in range(I.nvars)]
 
 
 def candidate_count(I):
@@ -910,12 +906,10 @@ def test_coarse_entries_from_orbit_sizes(field):
 
 
 # x1, x4, x6 are twins, and so are x2, x7: classes that are not runs
-SPREAD_TWINS = MonomialIdeal(8, [
-    Monomial(e) for e in {
-        (p[0], q[0], 0, p[1], 0, p[2], q[1], 1)
-        for p in permutations((2, 0, 0)) for q in permutations((1, 0))
-    } | {(1, 0, 1, 1, 0, 1, 2, 3), (1, 2, 1, 1, 0, 1, 0, 3)}
-])
+SPREAD_TWINS = MonomialIdeal(8, {
+    (p[0], q[0], 0, p[1], 0, p[2], q[1], 1)
+    for p in permutations((2, 0, 0)) for q in permutations((1, 0))
+} | {(1, 0, 1, 1, 0, 1, 2, 3), (1, 2, 1, 1, 0, 1, 0, 3)})
 
 
 def _wide_ideals():
@@ -928,10 +922,10 @@ def _wide_ideals():
     for k in range(12):
         n, top = rng.randint(7, 10), 1 + 2 * (k % 2)
         corpus.append(MonomialIdeal(n, [
-            Monomial(tuple(rng.randint(0, top) for _ in range(n)))
+            tuple(rng.randint(0, top) for _ in range(n))
             for _ in range(rng.randint(5, 12))
         ]))
-    maximal = MonomialIdeal(12, [Monomial(tuple(int(i == k) for i in range(12))) for k in range(12)])
+    maximal = MonomialIdeal(12, [tuple(int(i == k) for i in range(12)) for k in range(12)])
     return [*corpus, maximal, SPREAD_TWINS]
 
 
@@ -956,7 +950,7 @@ def test_koszul_memory_on_a_wide_support_is_linear_in_its_patterns():
     # x1 * ... * x16: one lattice point whose support has 2^16 face patterns.
     # Bookkeeping per pattern must stay a few bytes; one int of bit k per
     # pattern k alone would hold 2^32 / 16 bytes, about 268 MB.
-    I = MonomialIdeal(16, [Monomial((1,) * 16)])
+    I = MonomialIdeal(16, [(1,) * 16])
     tracemalloc.start()
     try:
         table = koszul_betti(I)
@@ -998,7 +992,7 @@ def test_permutation_equivariance():
         J = MonomialIdeal(
             n,
             [
-                Monomial(tuple(g.exponents[perm[i]] for i in range(n)))
+                tuple(g[perm[i]] for i in range(n))
                 for g in I.generators
             ],
         )
@@ -1052,7 +1046,7 @@ def projective_plane_ideal():
             e = [0] * 6
             for v in t:
                 e[v - 1] = 1
-            gens.append(Monomial(e))
+            gens.append(e)
     return MonomialIdeal(6, gens)
 
 
@@ -1163,7 +1157,7 @@ def test_homology_matches_fraction_reference():
         # Taylor strata: generator subsets grouped by their lcm
         n = rng.randint(2, 4)
         gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 8))]
-        gens = [g.exponents for g in MonomialIdeal(n, [Monomial(g) for g in gens]).generators]
+        gens = MonomialIdeal(n, gens).generators
         strata = defaultdict(list)
         for r in range(1, len(gens) + 1):
             for subset in combinations(range(len(gens)), r):
@@ -1222,11 +1216,11 @@ def test_equigenerated_degree_bound():
 
 def _degree_d_monomials(n, d):
     if n == 1:
-        yield Monomial((d,))
+        yield (d,)
         return
     for first in range(d + 1):
         for rest in _degree_d_monomials(n - 1, d - first):
-            yield Monomial((first,) + rest.exponents)
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -1307,7 +1301,7 @@ def test_budget_refuses_before_any_betti_table(monkeypatch, graph, budget, stop)
     tables = []
 
     def counting(comp, *args):
-        tables.append(comp.generators[0].degree)
+        tables.append(sum(comp.generators[0]))
         return has_linear_resolution(comp, *args)
 
     monkeypatch.setattr(resolution, "has_linear_resolution", counting)
@@ -1336,7 +1330,7 @@ def test_stop_at_failure_ends_the_report_at_its_first_failing_degree(monkeypatch
     degrees = []
 
     def counting(comp, *args):
-        degrees.append(comp.generators[0].degree)
+        degrees.append(sum(comp.generators[0]))
         return has_linear_resolution(comp, *args)
 
     monkeypatch.setattr(resolution, "has_linear_resolution", counting)
@@ -1376,7 +1370,7 @@ def _gapped_multidegree_ideals(count=30, max_component_gens=120):
     out = []
     while len(out) < count:
         n = rng.randint(2, 5)
-        gens = [Monomial(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(rng.randint(2, 4))]
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 4))]
         I = MonomialIdeal(n, gens)
         if I.is_zero():
             continue
@@ -1476,5 +1470,5 @@ def test_taylor_lower_bound_random():
         table = taylor_strand_betti(I)
         beta1 = [j for (i, j) in table.coarse if i == 1]
         if beta1:
-            assert min(beta1) >= min(sum(map(max, f.exponents, g.exponents))
+            assert min(beta1) >= min(sum(map(max, f, g))
                                      for f, g in combinations(I.generators, 2))

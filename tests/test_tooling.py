@@ -265,14 +265,19 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def readme_library_example() -> str:
+    """The Python block under the README's Library heading."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    return readme.split("## Library")[1].split("```")[1][len("python"):]
+
+
 def test_every_public_name_is_used():
     # An export, or a public method of the core classes, that only tests
     # call is API with no user.  Each must be named in the package outside
     # its own definition and __init__.py, or in the README's Library example.
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES
              if path.name != "__init__.py"]
-    readme = (PACKAGE.parent.parent / "README.md").read_text()
-    example = names(ast.parse(readme.split("## Library")[1].split("```")[1][len("python"):]))
+    example = names(ast.parse(readme_library_example()))
     defined = {}  # name -> its top-level definition
     for tree in trees:
         for node in tree.body:
@@ -283,7 +288,7 @@ def test_every_public_name_is_used():
     wanted = [(name, defined[name]) for name in coverideals.__all__]
     wanted += [
         ("." + node.name, node)
-        for cls in ("Monomial", "MonomialIdeal", "SimpleGraph")
+        for cls in ("MonomialIdeal", "SimpleGraph")
         for node in defined[cls].body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
@@ -292,6 +297,24 @@ def test_every_public_name_is_used():
         if name not in example and not any(name in names(tree, node) for tree in trees)
     ]
     assert unused == []
+
+
+def test_readme_library_example_gives_its_commented_values():
+    # Run the example statement by statement, keeping the value of each bare
+    # expression, which its comment states.
+    namespace: dict = {}
+    values = []
+    for node in ast.parse(readme_library_example()).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    overall, failing, covers, closed_form, ranks, certificate = values
+    assert overall is False and failing == 4
+    assert len(covers) == 4 and set(covers) == set(namespace["ideal"].generators)
+    assert closed_form is True
+    assert ranks == [0, 0, 1]
+    assert len(certificate) == 8 and all(type(m) is tuple for m in certificate)
 
 
 @pytest.mark.parametrize("name", ["complete_cwl", "chordal_sweep", "random_betti"])
