@@ -206,7 +206,7 @@ def test_default_cap_exit_codes(tmp_path, capsys, argv):
 )
 def test_betti_component_past_the_exponent_cap(tmp_path, capsys, text, degree, stderr):
     # the exponent named is the largest of the deglex-first degree-D monomial
-    # past the cap, as when every multiple was built by the checking constructor
+    # past the cap, as when every multiple is checked on entry in deglex order
     f = tmp_path / "near-cap.ideal"
     f.write_text(text)
     assert run(capsys, "betti", "--ideal", str(f), "--component", str(degree)) == (
