@@ -107,7 +107,7 @@ def _cmd_gens(args) -> int:
     if args.t is None or args.t < 1:
         raise ValueError("gens needs --t >= 1")
     ideal = cover_ideal(_resolve_graph(args), args.t)
-    gens = list(map(format_monomial, ideal.generators))
+    gens = [format_monomial(g) for g in ideal.generators]
     if args.format == "json":
         print(
             json.dumps(
@@ -135,7 +135,7 @@ def _cmd_check_cwl(args) -> int:
         certificate = find_linear_quotient_order(ideal)
     if args.format == "json":
         out = report.to_json_dict()
-        out["certificate"] = list(map(format_monomial, certificate)) if certificate else None
+        out["certificate"] = [format_monomial(m) for m in certificate] if certificate else None
         print(json.dumps(out, sort_keys=True))
     else:
         for v in report.verdicts:
@@ -150,7 +150,7 @@ def _cmd_check_cwl(args) -> int:
         )
         if certificate:
             print("linear-quotients certificate:")
-            print(_wrap(list(map(format_monomial, certificate))))
+            print(_wrap([format_monomial(m) for m in certificate]))
     return 0 if report.overall else 1
 
 
@@ -199,8 +199,8 @@ def _cmd_quotients(args) -> int:
         else:
             out = {
                 "ok": result.ok,
-                "order": list(map(format_monomial, order)),
-                "steps": [list(map(format_monomial, step)) for step in result.steps],
+                "order": [format_monomial(m) for m in order],
+                "steps": [[format_monomial(m) for m in step] for step in result.steps],
             }
         if not result.ok:
             out["failing_index"] = result.failing_index
@@ -208,9 +208,9 @@ def _cmd_quotients(args) -> int:
         print(json.dumps(out, sort_keys=True))
     elif result.ok:
         print("linear quotients hold for the order:")
-        print(_wrap(list(map(format_monomial, order))))
+        print(_wrap([format_monomial(m) for m in order]))
         for k, step in enumerate(result.steps, start=2):
-            print(f"  step {k}: colon = <{', '.join(map(format_monomial, step))}>")
+            print(f"  step {k}: colon = <{', '.join(format_monomial(m) for m in step)}>")
     else:
         if searched:
             print(f"no linear-quotients order found (strategy {args.order})")

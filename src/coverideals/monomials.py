@@ -67,7 +67,9 @@ _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 def parse_monomial(text: str, nvars: int) -> tuple[int, ...]:
     text = text.strip()
     exps = [0] * nvars
-    for factor in text.split("*") if text != "1" else ():
+    if text == "1":
+        return _checked(exps, nvars)
+    for factor in text.split("*"):
         m = _FACTOR_RE.match(factor.strip())
         if m is None:
             raise ValueError(f"cannot parse monomial factor {factor!r}")
@@ -146,11 +148,11 @@ class MonomialIdeal:
         return hash((self.nvars, self.generators))
 
     def __repr__(self) -> str:
-        gens = ", ".join(map(format_monomial, self.generators))
+        gens = ", ".join(format_monomial(g) for g in self.generators)
         return f"MonomialIdeal({self.nvars}, <{gens}>)"
 
     def degrees(self) -> list[int]:
-        return list(map(sum, self.generators))
+        return [sum(g) for g in self.generators]
 
     def min_degree(self) -> int:
         if self.is_zero():

@@ -581,9 +581,8 @@ def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:
     hold the same values, and only against the first member of a class, as
     twinness is transitive ((i k) = (i j)(j k)(i j))."""
     n = ideal.nvars
-    exps = ideal.generators
-    gens = set(exps)
-    columns = list(map(sorted, zip(*exps))) or [[]] * n
+    gens = set(ideal.generators)
+    columns = list(map(sorted, zip(*ideal.generators))) or [[]] * n
     classes: list[list[int]] = []
     for j, column in enumerate(columns):
         for cls in classes:
@@ -592,7 +591,7 @@ def _twin_classes(ideal: MonomialIdeal) -> list[list[int]]:
                 continue
             swap = list(range(n))
             swap[i], swap[j] = j, i
-            if gens.issuperset(map(itemgetter(*swap), exps)):
+            if gens.issuperset(map(itemgetter(*swap), ideal.generators)):
                 cls.append(j)
                 break
         else:
@@ -849,8 +848,8 @@ def find_linear_quotient_order(
         state = frozenset(chosen)
         if state in failed:
             return False
-        min_deg = sum(remaining[0])  # remaining stays deglex-sorted
-        for f in remaining:
+        min_deg = min(sum(m) for m in remaining)
+        for f in remaining:  # remaining stays deglex-sorted
             if sum(f) != min_deg:
                 break  # degree-nondecreasing orders only
             if chosen and any(sum(m) != 1 for m in _colon(chosen, f)):

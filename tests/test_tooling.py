@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 import os
 import subprocess
 import sys
@@ -340,3 +341,26 @@ def test_traced_pass_fires_the_layers_of_its_workload(name, tmp_path, monkeypatc
     assert set(statuses) == {workload.exit_code}
     assert workload.layers - tracer.fired() == set()
     assert workload.idle & tracer.fired() == set()
+
+
+def test_complete_cwl_gate_checks_the_cli_report(monkeypatch):
+    # The benchmark's gate accepts check-cwl's own report on K5, t=3 and
+    # refuses it with the certificate rotated or cut short, or with its top
+    # degree not linear.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").CompleteCwl()
+    items = workload.build(0, PERFBENCH)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(items[0]) == 0
+    assert workload.check(items, [out.getvalue()]) == {}
+    report = json.loads(out.getvalue())
+    order, degrees = report["certificate"], report["per_degree"]
+    assert degrees[-1]["degree"] == 12
+    wrong = [
+        dict(report, certificate=order[-1:] + order[:-1]),
+        dict(report, certificate=order[1:]),
+        dict(report, per_degree=degrees[:-1] + [{"degree": 12, "verdict": "not linear"}]),
+    ]
+    for bad in wrong:
+        assert set(workload.check(items, [json.dumps(bad)])) == {0}, bad
