@@ -160,10 +160,14 @@ def _cmd_betti(args) -> int:
     if args.component is not None:
         ideal = ideal.component(args.component)
     table = betti_table(ideal, field, engine=args.engine)
+    # the multigraded entries of a Koszul table are expanded only if read
+    rows = sorted(
+        (i, sum(a), a, r) for (i, a), r in table.multigraded.items()
+    ) if args.multigraded else []
     if args.format == "json":
-        # the multigraded entries of a Koszul table are expanded only if read
-        out = table.to_json_dict() if args.multigraded else {
-            "field": field.label, "coarse": [list(e) for e in table.coarse_entries()]}
+        out = {"field": field.label, "coarse": [list(e) for e in table.coarse_entries()]}
+        if args.multigraded:
+            out["multigraded"] = [[i, list(a), r] for i, _, a, r in rows]
         print(json.dumps(out, sort_keys=True))
     else:
         print(f"coarse Betti numbers over {field.label}:")
@@ -171,9 +175,7 @@ def _cmd_betti(args) -> int:
             print(f"  beta[{i},{j}] = {r}")
         if args.multigraded:
             print("multigraded:")
-            for i, _, a, r in sorted(
-                (i, sum(a), a, r) for (i, a), r in table.multigraded.items()
-            ):
+            for i, _, a, r in rows:
                 print(f"  beta[{i},{a}] = {r}")
     return 0
 

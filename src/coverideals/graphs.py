@@ -57,8 +57,6 @@ class SimpleGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if self.nvertices == 1:
-            return True
         adj = self.adjacency()
         seen = {1}
         stack = [1]
@@ -71,32 +69,26 @@ class SimpleGraph:
         return len(seen) == self.nvertices
 
     def is_chordal(self) -> tuple[bool, Optional[list[int]]]:
-        """Chordality test via maximum-cardinality search.
+        """Chordality test by simplicial elimination: repeatedly remove the
+        least vertex whose remaining neighbours form a clique.
 
-        Returns (True, order) where order is a perfect elimination order
-        (each vertex's later neighbors form a clique), or (False, None).
-        The clique verification, not the search heuristic, decides.
+        Returns (True, order of removal), a perfect elimination order (each
+        vertex's later neighbours form a clique), or (False, None) when no
+        remaining vertex qualifies.  Every induced subgraph of a chordal
+        graph has such a vertex (Dirac, 1961), so the elimination stalls
+        exactly on non-chordal graphs.
         """
-        n = self.nvertices
-        adj = self.adjacency()
-        weight = {v: 0 for v in range(1, n + 1)}
-        unnumbered = set(range(1, n + 1))
-        mcs: list[int] = []
-        while unnumbered:
-            v = min(unnumbered, key=lambda u: (-weight[u], u))
-            unnumbered.remove(v)
-            mcs.append(v)
-            for w in adj[v]:
-                if w in unnumbered:
-                    weight[w] += 1
-        peo = list(reversed(mcs))
-        pos = {v: i for i, v in enumerate(peo)}
-        for v in peo:
-            later = [w for w in adj[v] if pos[w] > pos[v]]
-            for a, b in combinations(later, 2):
-                if b not in adj[a]:
-                    return False, None
-        return True, peo
+        adj = self.adjacency()  # keys ascend, so the first vertex found is the least
+        order: list[int] = []
+        while adj:
+            v = next((v for v, nbrs in adj.items()
+                      if all(b in adj[a] for a, b in combinations(nbrs, 2))), None)
+            if v is None:
+                return False, None
+            order.append(v)
+            for w in adj.pop(v):
+                adj[w].remove(v)
+        return True, order
 
     def __eq__(self, other) -> bool:
         return (

@@ -24,9 +24,7 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   equal Betti numbers, so complexes are built only at the points whose
   values do not decrease along each twin class, one per orbit of the swaps,
   built as words over the twins' values where fewer than the lattice's
-  points, else filtered from them; the rest of an orbit, reached by
-  swapping twins, is listed only if the multigraded entries are read, as
-  the coarse ones need only its size.
+  points, else filtered from them.
   Membership is a bit plane over the compressed divisor box (on each axis
   the generator exponents in its variable, plus 0), one per call, which
   also gives the lattice.  The representatives are grouped by support, and
@@ -34,6 +32,11 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   points at once.  Each distinct complex is matched on one vertex, and only
   the faces left unmatched reach ``_homology``, once (none: a cone).  A box
   past ``BOX_CAP`` cells raises CapacityError before anything is allocated.
+
+Both engines hand ``BettiTable`` a list of orbits, each a representative
+point with its ranks and its size, and the twins whose swaps reach the rest
+of an orbit (none for the Taylor engine), which is listed only if the
+multigraded entries are read.
 
 ``_homology`` builds the boundary columns one at a time as the rank kernel
 reads them, so no boundary matrix is held whole.  Over Q it ranks every
@@ -124,49 +127,34 @@ def parse_field(text: str) -> FieldChoice:
 class BettiTable:
     """Multigraded Betti numbers with their coarse (total-degree) shadow.
 
-    ``multigraded`` maps (homological index i, exponent tuple) to a positive
-    rank; ``coarse`` maps (i, total degree) to the sum over multidegrees.
-    A ``koszul_betti`` table holds one point per twin orbit (``_of_orbits``)
-    and swaps twins (``_twin_orbit``) to expand ``multigraded`` when read.
+    ``orbits`` lists (a, ranks, size): beta_{i,b} = r for (i, r) in ranks at
+    every point b of the orbit of a, which has ``size`` points, reached by
+    swapping the consecutive ``twins`` (``_twin_orbit``).  A Taylor table
+    has no twins, and each of its points is its own orbit.  ``coarse`` maps
+    (i, total degree) to the sum over multidegrees, all a linearity verdict
+    reads; ``multigraded``, mapping (i, exponent tuple) to a positive rank,
+    expands the orbits each time it is read.
     """
 
-    __slots__ = ("nvars", "field", "coarse", "_multigraded", "_orbits")
+    __slots__ = ("nvars", "field", "coarse", "_orbits", "_twins")
 
-    def __init__(self, nvars: int, field: FieldChoice, multigraded: dict):
+    def __init__(self, nvars: int, field: FieldChoice, orbits: list, twins: Sequence):
         self.nvars = nvars
         self.field = field
-        self._multigraded = multigraded
+        self._orbits = orbits
+        self._twins = twins
         self.coarse: dict[tuple[int, int], int] = {}
-        for (i, a), r in multigraded.items():
-            self.coarse[(i, sum(a))] = self.coarse.get((i, sum(a)), 0) + r
-
-    @classmethod
-    def _of_orbits(cls, nvars: int, field: FieldChoice, classes: list[list[int]],
-                   twins: list[tuple[int, int]], orbits: dict) -> BettiTable:
-        """Every point of the orbit of a representative in ``orbits``, lists of
-        (representative, ranks) by pattern of equal consecutive twins, has
-        beta_{i,a} = r for (i, r) in ranks."""
-        table = cls(nvars, field, {})
-        table._multigraded, table._orbits = None, (twins, orbits)
-        for carried in orbits.values():
-            # the orbit's size, the same for every point of a pattern, is its
-            # number of distinct rearrangements within each twin class
-            counts = [Counter(carried[0][0][i] for i in c).values() for c in classes]
-            size = prod(factorial(sum(n)) // prod(map(factorial, n)) for n in counts)
-            for a, ranks in carried:
-                for i, r in ranks:
-                    table.coarse[(i, sum(a))] = table.coarse.get((i, sum(a)), 0) + r * size
-        return table
+        for a, ranks, size in orbits:
+            for i, r in ranks:
+                self.coarse[(i, sum(a))] = self.coarse.get((i, sum(a)), 0) + r * size
 
     @property
     def multigraded(self) -> dict:
-        if self._multigraded is None:
-            twins, orbits = self._orbits
-            self._multigraded = {
-                (i, b): r for carried in orbits.values() for a, ranks in carried
-                for b in _twin_orbit(a, twins) for i, r in ranks
-            }
-        return self._multigraded
+        twins = self._twins
+        return {
+            (i, b): r for a, ranks, _ in self._orbits
+            for b in (_twin_orbit(a, twins) if twins else (a,)) for i, r in ranks
+        }
 
     def coarse_entries(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, r) for (i, j), r in self.coarse.items())
@@ -180,14 +168,6 @@ class BettiTable:
 
     def __repr__(self) -> str:
         return f"BettiTable({self.coarse_entries()})"
-
-    def to_json_dict(self) -> dict:
-        rows = sorted((i, sum(a), a, r) for (i, a), r in self.multigraded.items())
-        return {
-            "field": self.field.label,
-            "coarse": [[i, j, r] for i, j, r in self.coarse_entries()],
-            "multigraded": [[i, list(a), r] for i, _, a, r in rows],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +357,14 @@ def taylor_strand_betti(
         strata[lcm_of[mask]].append(mask)
     del lcm_of  # 2^g codes: over half of the call's peak memory at g = 14
 
-    multigraded: dict[tuple, int] = {}
+    orbits = []  # (a, ranks, 1): without twins a point is its own orbit
     for code, masks in strata.items():
-        homology = [(size, h) for size, h in _homology(masks, field).items() if h]
-        if homology:
+        # a strand face of `size` generators sits in homological degree size-1
+        ranks = tuple((size - 1, h) for size, h in _homology(masks, field).items() if h)
+        if ranks:
             a = tuple(vs[((code >> off) & width).bit_count()] for off, width, vs in fields)
-            # a strand face of `size` generators sits in homological degree size-1
-            for size, h in homology:
-                multigraded[(size - 1, a)] = h
-    return BettiTable(ideal.nvars, field, multigraded)
+            orbits.append((a, ranks, 1))
+    return BettiTable(ideal.nvars, field, orbits, ())
 
 
 class _DivisorBox:
@@ -507,10 +486,11 @@ def koszul_betti(
     fewest (``_critical_faces``), reach ``_homology``; none means a cone.
 
     The table keeps each representative that carries a Betti number with
-    its ranks; coarse entries weigh them by orbit size, all a linearity
-    verdict reads, and the rest of each orbit, reached by swapping
-    consecutive twins (``_twin_orbit``), is built only when the multigraded
-    entries are read.
+    its ranks and its orbit size (its distinct rearrangements within the
+    twin classes, counted once per pattern of equal consecutive twins);
+    coarse entries weigh ranks by orbit size, all a linearity verdict reads,
+    and the rest of each orbit, reached by swapping consecutive twins
+    (``_twin_orbit``), is built only when the multigraded entries are read.
 
     Raises CapacityError, before allocating, past ``BOX_CAP`` cells.
     """
@@ -534,7 +514,8 @@ def koszul_betti(
     homology: dict[int, tuple[tuple[int, int], ...]] = {}  # face bitset -> nonzero ranks
     known: dict[tuple, tuple[tuple[int, int], ...]] = {}  # the same by the bits as read
     digits = bytes.maketrans(b"\0\1", b"01")
-    orbits = defaultdict(list)  # (representative, ranks) by equal twins
+    sizes: dict[tuple[bool, ...], int] = {}  # orbit size by pattern of equal twins
+    orbits = []  # (representative, ranks, orbit size)
     for support, reps in by_support.items():
         # steps[k]: index distance one step down every support axis in pattern k
         steps = [0]
@@ -557,8 +538,13 @@ def koszul_betti(
                 ranks = known[key] = homology[faces]
             if ranks:
                 # faces of size i span reduced homology in dimension i-1 = beta_{i,a}
-                orbits[tuple(a[i] == a[j] for i, j in twins)].append((a, ranks))
-    return BettiTable._of_orbits(ideal.nvars, field, classes, twins, orbits)
+                pattern = tuple(a[i] == a[j] for i, j in twins)
+                if pattern not in sizes:
+                    counts = [Counter(a[i] for i in c).values() for c in classes]
+                    sizes[pattern] = prod(
+                        factorial(sum(n)) // prod(map(factorial, n)) for n in counts)
+                orbits.append((a, ranks, sizes[pattern]))
+    return BettiTable(ideal.nvars, field, orbits, twins)
 
 
 def _built_representatives(points: list, classes: list, grids: list) -> list[tuple]:

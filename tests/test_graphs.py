@@ -94,16 +94,21 @@ def test_four_cycle_is_not_chordal():
     assert not ok and peo is None
 
 
-def test_counterexample_is_chordal_with_witness():
-    ok, peo = counterexample_graph().is_chordal()
-    assert ok
-    G = counterexample_graph()
+def assert_perfect_elimination_order(G, peo):
+    """Every vertex once, and each vertex's later neighbours form a clique."""
+    assert sorted(peo) == list(range(1, G.nvertices + 1))
     adj = G.adjacency()
     pos = {v: i for i, v in enumerate(peo)}
     for v in peo:
         later = [w for w in adj[v] if pos[w] > pos[v]]
         for a, b in combinations(later, 2):
-            assert (min(a, b), max(a, b)) in G.edges
+            assert (min(a, b), max(a, b)) in G.edges, (G, peo)
+
+
+def test_counterexample_is_chordal_with_witness():
+    ok, peo = counterexample_graph().is_chordal()
+    assert ok
+    assert_perfect_elimination_order(counterexample_graph(), peo)
 
 
 def test_complete_graphs_are_chordal():
@@ -116,7 +121,12 @@ def test_chordality_agrees_with_bruteforce_up_to_six_vertices():
         slots = list(combinations(range(1, n + 1), 2))
         for mask in range(1 << len(slots)):
             G = SimpleGraph(n, [e for k, e in enumerate(slots) if mask >> k & 1])
-            assert G.is_chordal()[0] == (not chordless_cycle_exists(G)), (n, mask)
+            ok, peo = G.is_chordal()
+            assert ok == (not chordless_cycle_exists(G)), (n, mask)
+            if ok:
+                assert_perfect_elimination_order(G, peo)
+            else:
+                assert peo is None
 
 
 # ---------------------------------------------------------------------------

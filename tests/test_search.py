@@ -64,6 +64,7 @@ def test_enumerate_counts():
     assert len(rows(n_min=4, n_max=4)) == 64
     chordal4 = rows(n_min=4, n_max=4, chordal_only=True)
     assert len(chordal4) == 61  # 64 minus the three labelled 4-cycles
+    assert len(rows(n_min=1, n_max=1, connected_only=True)) == 1  # one vertex is connected
     connected3 = rows(n_min=3, n_max=3, connected_only=True)
     assert len(connected3) == 4  # the three paths and the triangle
     records, summary = sweep(SweepConfig(n_min=4, n_max=4, connected_only=True))

@@ -318,6 +318,47 @@ def test_readme_library_example_gives_its_commented_values():
     assert len(certificate) == 8 and all(type(m) is tuple for m in certificate)
 
 
+def readme_cli_commands() -> list[tuple[list[str], str]]:
+    """(arguments after ``coverideals``, comment) for each line of the shell
+    block under the README's CLI heading."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    block = readme.split("## CLI")[1].split("```sh")[1].split("```")[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            commands.append((command.split()[1:], comment.strip()))
+    return commands
+
+
+def test_readme_cli_block_gives_its_commented_outcomes():
+    # Run, in README order, each command whose comment states an outcome,
+    # bar the search lines and those reading ideal files the README does not
+    # give, and check the outcome its comment states.
+    runs = []  # (subcommand, exit code, stdout lines)
+    for argv, comment in readme_cli_commands():
+        if comment and argv[0] != "search" and not any(a.endswith(".ideal") for a in argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                runs.append((argv[0], cli.main(argv), out.getvalue().splitlines()))
+    assert [name for name, _, _ in runs] == [
+        "gens", "gens", "check-cwl", "check-cwl",
+        "quotients", "quotients", "quotients", "polymatroidal",
+    ]
+    codes = [code for _, code, _ in runs]
+    assert codes == [0, 0, 0, 1, 0, 0, 1, 0]
+    gens_cx, gens_k12, cwl_k4, cwl_cx, quot_k3, quot_k4, _, poly_k3 = [
+        lines for _, _, lines in runs]
+    assert gens_cx[0].startswith("4 minimal generators")
+    assert json.loads(gens_k12[0])["count"] == 36
+    assert "componentwise linear" in cwl_k4
+    assert "NOT componentwise linear (first failure at degree 4)" in cwl_cx
+    assert [ln for ln in quot_k3 if "step" in ln] == [
+        f"  step {k}: colon = <x{k - 1}>" for k in (2, 3, 4)]
+    assert sum("step" in ln for ln in quot_k4) == 7
+    assert poly_k3 and all(ln.endswith(": exchange holds") for ln in poly_k3)
+
+
 @pytest.mark.parametrize("name", ["complete_cwl", "chordal_sweep", "random_betti"])
 def test_traced_pass_fires_the_layers_of_its_workload(name, tmp_path, monkeypatch):
     # The benchmark's traced run fails when a layer a workload lists never
