@@ -360,7 +360,7 @@ def taylor_strand_betti(
     orbits = []  # (a, ranks, 1): without twins a point is its own orbit
     for code, masks in strata.items():
         # a strand face of `size` generators sits in homological degree size-1
-        ranks = tuple((size - 1, h) for size, h in _homology(masks, field).items() if h)
+        ranks = [(size - 1, h) for size, h in _homology(masks, field).items() if h]
         if ranks:
             a = tuple(vs[((code >> off) & width).bit_count()] for off, width, vs in fields)
             orbits.append((a, ranks, 1))
