@@ -345,8 +345,7 @@ def test_readme_cli_block_gives_its_commented_outcomes():
         "gens", "gens", "check-cwl", "check-cwl",
         "quotients", "quotients", "quotients", "polymatroidal",
     ]
-    codes = [code for _, code, _ in runs]
-    assert codes == [0, 0, 0, 1, 0, 0, 1, 0]
+    assert [code for _, code, _ in runs] == [0, 0, 0, 1, 0, 0, 1, 0]
     gens_cx, gens_k12, cwl_k4, cwl_cx, quot_k3, quot_k4, _, poly_k3 = [
         lines for _, _, lines in runs]
     assert gens_cx[0].startswith("4 minimal generators")
