@@ -43,7 +43,7 @@ from .resolution import (
     parse_field,
     polymatroidal_check,
 )
-from .search import ROW_BUDGET, SweepConfig, sweep, to_csv, to_jsonl
+from .search import ROW_BUDGET, SweepConfig, sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,8 +134,19 @@ def _cmd_check_cwl(args) -> int:
     if report.overall and not report.vacuous:
         certificate = find_linear_quotient_order(ideal)
     if args.format == "json":
-        out = report.to_json_dict()
-        out["certificate"] = [format_monomial(m) for m in certificate] if certificate else None
+        per_degree = []
+        for v in report.verdicts:
+            entry = {"degree": v.degree, "verdict": v.status}
+            if v.offending:
+                entry["offending"] = list(v.offending)
+            per_degree.append(entry)
+        out = {
+            "field": field.label,
+            "overall": report.overall,
+            "vacuous": report.vacuous,
+            "per_degree": per_degree,
+            "certificate": [format_monomial(m) for m in certificate] if certificate else None,
+        }
         print(json.dumps(out, sort_keys=True))
     else:
         for v in report.verdicts:
@@ -270,7 +281,7 @@ def _cmd_polymatroidal(args) -> int:
 
 def _parse_t_set(text: str) -> tuple[int, ...]:
     try:
-        return tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ValueError(f"bad --t list {text!r}: expected comma-separated integers") from None
 
@@ -290,11 +301,34 @@ def _cmd_search(args) -> int:
         row_budget=args.budget,
     )
     records, summary = sweep(config)
-    include_timing = not args.no_timing
     if args.format == "csv":
-        sys.stdout.write(to_csv(records, summary, include_timing))
+        lines = ["n,t,edges,chordal,cwl,failing_degree,gens,ms"]
+        for rec in records:
+            edges = ";".join(f"{u}-{v}" for u, v in rec.edges)
+            chordal, cwl, fd, gens = (
+                "" if value is None else str(value).lower()
+                for value in (rec.chordal, rec.cwl, rec.failing_degree, rec.generator_count)
+            )
+            ms = "" if args.no_timing else f"{rec.wall_ms:.1f}"
+            lines.append(f"{rec.n},{rec.t},{edges},{chordal},{cwl},{fd},{gens},{ms}")
     else:
-        sys.stdout.write(to_jsonl(records, summary, include_timing))
+        lines = []
+        for rec in records:
+            row = {
+                "n": rec.n,
+                "t": rec.t,
+                "edges": [list(e) for e in rec.edges],
+                "chordal": rec.chordal,
+                "cwl": rec.cwl,
+                "failing_degree": rec.failing_degree,
+                "gens": rec.generator_count,
+                "status": rec.status,
+            }
+            if not args.no_timing:
+                row["ms"] = round(rec.wall_ms, 1)
+            lines.append(json.dumps(row, sort_keys=True))
+    lines.append(json.dumps({"summary": summary}, sort_keys=True))
+    sys.stdout.write("\n".join(lines) + "\n")
     failures = sum(1 for rec in records if rec.status == "ok" and rec.cwl is False)
     return 1 if failures else 0
 

@@ -106,9 +106,6 @@ class FieldChoice(namedtuple("FieldChoice", "p", defaults=(None,))):
     def label(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 
-    def __str__(self) -> str:
-        return self.label
-
 
 RATIONALS = FieldChoice(None)
 
@@ -133,14 +130,14 @@ class BettiTable:
     has no twins, and each of its points is its own orbit.  ``coarse`` maps
     (i, total degree) to the sum over multidegrees, all a linearity verdict
     reads; ``multigraded``, mapping (i, exponent tuple) to a positive rank,
-    expands the orbits each time it is read.
+    expands the orbits each time it is read.  The field the ranks were taken
+    over is the caller's to keep; ``betti`` in the CLI writes it out.
     """
 
-    __slots__ = ("nvars", "field", "coarse", "_orbits", "_twins")
+    __slots__ = ("nvars", "coarse", "_orbits", "_twins")
 
-    def __init__(self, nvars: int, field: FieldChoice, orbits: list, twins: Sequence):
+    def __init__(self, nvars: int, orbits: list, twins: Sequence):
         self.nvars = nvars
-        self.field = field
         self._orbits = orbits
         self._twins = twins
         self.coarse: dict[tuple[int, int], int] = {}
@@ -364,7 +361,7 @@ def taylor_strand_betti(
         if ranks:
             a = tuple(vs[((code >> off) & width).bit_count()] for off, width, vs in fields)
             orbits.append((a, ranks, 1))
-    return BettiTable(ideal.nvars, field, orbits, ())
+    return BettiTable(ideal.nvars, orbits, ())
 
 
 class _DivisorBox:
@@ -544,7 +541,7 @@ def koszul_betti(
                     sizes[pattern] = prod(
                         factorial(sum(n)) // prod(map(factorial, n)) for n in counts)
                 orbits.append((a, ranks, sizes[pattern]))
-    return BettiTable(ideal.nvars, field, orbits, twins)
+    return BettiTable(ideal.nvars, orbits, twins)
 
 
 def _built_representatives(points: list, classes: list, grids: list) -> list[tuple]:
@@ -664,7 +661,7 @@ class DegreeVerdict(namedtuple("DegreeVerdict", "degree status offending", defau
 
 
 class CwlReport(namedtuple(
-    "CwlReport", "field verdicts overall vacuous", defaults=(False,)
+    "CwlReport", "verdicts overall vacuous", defaults=(False,)
 )):
     """Per-degree linearity verdicts plus the overall decision.
 
@@ -673,7 +670,9 @@ class CwlReport(namedtuple(
     when ``is_componentwise_linear`` was asked to stop at a failure;
     ``vacuous`` marks the zero ideal, which passes with no degree checked.
     A linear-quotients certificate, which settles the verdict without any
-    Betti number, is ``find_linear_quotient_order``'s to find.
+    Betti number, is ``find_linear_quotient_order``'s to find.  Neither it
+    nor the field the verdicts were decided over is part of the report;
+    ``check-cwl`` in the CLI writes both beside it.
     """
 
     __slots__ = ()
@@ -683,20 +682,6 @@ class CwlReport(namedtuple(
             if v.status == "not linear":
                 return v.degree
         return None
-
-    def to_json_dict(self) -> dict:
-        per_degree = []
-        for v in self.verdicts:
-            entry: dict = {"degree": v.degree, "verdict": v.status}
-            if v.offending is not None:
-                entry["offending"] = list(v.offending)
-            per_degree.append(entry)
-        return {
-            "field": self.field.label,
-            "overall": self.overall,
-            "vacuous": self.vacuous,
-            "per_degree": per_degree,
-        }
 
 
 def is_componentwise_linear(
@@ -733,7 +718,7 @@ def is_componentwise_linear(
     if budget < 0:
         raise ValueError("budget must be >= 0 (0 means no budget)")
     if ideal.is_zero():
-        return CwlReport(field, (), True, vacuous=True)
+        return CwlReport((), True, vacuous=True)
     lo, hi = ideal.min_degree(), ideal.max_degree()
     components = []
     built = 0
@@ -756,7 +741,7 @@ def is_componentwise_linear(
         if stop_at_failure and not ok:
             break
     overall = all(v.status != "not linear" for v in verdicts)
-    return CwlReport(field, tuple(verdicts), overall)
+    return CwlReport(tuple(verdicts), overall)
 
 
 # ---------------------------------------------------------------------------

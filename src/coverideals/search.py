@@ -1,17 +1,19 @@
 """Batch sweeps over small labelled graphs: build the order-t cover ideal of
 every graph in range and record its componentwise-linearity verdict.
 
-Rows are emitted in a fixed enumeration order (vertex count, then edge-set
-bitmask), so two runs of the same sweep are byte-identical apart from wall
-times.  The summary deduplicates failing graphs up to relabelling.
+Records come in a fixed enumeration order (vertex count, then edge-set
+bitmask, then t ascending), so two runs of the same sweep give equal records
+apart from wall times.  The summary deduplicates failing graphs up to
+relabelling.  Records and summary are values; ``search`` in the CLI writes
+them out.
 
 The verdict, failing degree and generator count do not change when the
 vertices are relabelled, so each is computed once per isomorphism class and
 copied to every labelled member.  The classes come from orbit enumeration:
 the n! relabellings are applied to the least edge mask of each class, about
 112k mappings for the 156 classes on 6 vertices.  A capacity skip is
-decided per class too, and a row's ``ms`` is the time spent on that row:
-the computation for the class's first member, a lookup for the others.
+decided per class too, and a row's ``wall_ms`` is the time spent on that
+row: the computation for the class's first member, a lookup for the others.
 
 A row is skipped when a cap raises ``CapacityError``.  One such cap is the
 row budget: the generators summed over the degree components a row builds
@@ -24,7 +26,6 @@ reports every degree.
 
 from __future__ import annotations
 
-import json
 import operator
 import time
 from collections import namedtuple
@@ -49,8 +50,9 @@ class SweepConfig(namedtuple(
     defaults=(1, 4, (1,), False, False, False, RATIONALS, ROW_BUDGET),
 )):
     """Which graphs and orders a sweep covers: vertex counts n_min..n_max,
-    the tuple ``t_set`` of orders, three graph filters, the coefficient
-    ``field`` and the ``row_budget`` (0 means no budget)."""
+    the orders ``t_set`` (kept as a sorted tuple of distinct values), three
+    graph filters, the coefficient ``field`` and the ``row_budget`` (0 means
+    no budget)."""
 
     __slots__ = ()
 
@@ -59,7 +61,7 @@ class SweepConfig(namedtuple(
         n_min, n_max, row_budget = map(
             operator.index, (given.n_min, given.n_max, given.row_budget)
         )
-        t_set = tuple(map(operator.index, given.t_set))
+        t_set = tuple(sorted(set(map(operator.index, given.t_set))))
         if not 1 <= n_min <= n_max <= 6:
             raise ValueError("vertex range must satisfy 1 <= n_min <= n_max <= 6")
         if not t_set or any(t < 1 or t > 6 for t in t_set):
@@ -78,34 +80,13 @@ class SweepRecord(namedtuple(
     "n t edges chordal cwl failing_degree generator_count wall_ms status",
     defaults=("ok",),
 )):
-    """One (graph, t) row.  ``cwl``, ``failing_degree`` and
+    """One (graph, t) row: ``edges`` as sorted vertex pairs, ``wall_ms`` the
+    time spent on the row.  ``cwl``, ``failing_degree`` and
     ``generator_count`` are None on a skipped row; ``status`` is "ok" or
-    "skipped: capacity (<reason>)", the row budget being one such cap."""
+    "skipped: capacity (<reason>)", the row budget being one such cap.
+    The CLI turns records into JSON-lines or CSV rows."""
 
     __slots__ = ()
-
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "n": self.n,
-            "t": self.t,
-            "edges": [list(e) for e in self.edges],
-            "chordal": self.chordal,
-            "cwl": self.cwl,
-            "failing_degree": self.failing_degree,
-            "gens": self.generator_count,
-            "status": self.status,
-        }
-        if include_timing:
-            out["ms"] = round(self.wall_ms, 1)
-        return out
-
-    def to_csv_row(self, include_timing: bool = True) -> str:
-        edges = ";".join(f"{u}-{v}" for u, v in self.edges)
-        cwl = "" if self.cwl is None else str(self.cwl).lower()
-        fd = "" if self.failing_degree is None else str(self.failing_degree)
-        gens = "" if self.generator_count is None else str(self.generator_count)
-        ms = f"{self.wall_ms:.1f}" if include_timing else ""
-        return f"{self.n},{self.t},{edges},{str(self.chordal).lower()},{cwl},{fd},{gens},{ms}"
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -208,8 +189,8 @@ def sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     The cover ideal and its verdict are computed once per (isomorphism
     class, t), on the class's first graph in enumeration order, and copied
     to every other member: a row budget or capacity skip is likewise decided
-    once and every member carries the same status.  A row's ``ms`` is the
-    time spent on that row, so the class's first member carries the
+    once and every member carries the same status.  A row's ``wall_ms`` is
+    the time spent on that row, so the class's first member carries the
     computation and the others only the lookup."""
     records: list[SweepRecord] = []
     classes: list[tuple[int, int]] = []
@@ -217,7 +198,7 @@ def sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     decided: dict[tuple, tuple] = {}
     for G, cls, chordal in _classified_graphs(config):
         edges = tuple(G.edge_list())
-        for t in sorted(config.t_set):
+        for t in config.t_set:
             start = time.perf_counter()
             if (cls, t) not in decided:
                 decided[cls, t] = _decide(G, t, config)
@@ -269,26 +250,3 @@ def _summarize(
         "warnings": warnings,
     }
     return summary
-
-
-def to_jsonl(
-    records: list[SweepRecord], summary: dict, include_timing: bool = True
-) -> str:
-    lines = [
-        json.dumps(rec.to_json_dict(include_timing), sort_keys=True)
-        for rec in records
-    ]
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-CSV_HEADER = "n,t,edges,chordal,cwl,failing_degree,gens,ms"
-
-
-def to_csv(
-    records: list[SweepRecord], summary: dict, include_timing: bool = True
-) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(rec.to_csv_row(include_timing) for rec in records)
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
-    return "\n".join(lines) + "\n"

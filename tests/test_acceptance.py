@@ -35,7 +35,8 @@ from coverideals.resolution import (
     polymatroidal_check,
     taylor_strand_betti,
 )
-from coverideals.search import SweepConfig, canonical_edge_mask, sweep, to_jsonl
+from coverideals.search import SweepConfig, canonical_edge_mask, sweep
+from test_search import untimed
 
 F2 = FieldChoice(2)
 
@@ -326,26 +327,20 @@ def test_criterion_7_sweep_reproduction():
     rec1, sum1 = sweep(cfg1)
     ok &= sum1["per_t"]["1"]["cwl_fail"] == 0
     rec1b, sum1b = sweep(cfg1)
-    ok &= to_jsonl(rec1, sum1, include_timing=False) == to_jsonl(
-        rec1b, sum1b, include_timing=False
-    )
+    ok &= (untimed(rec1), sum1) == (untimed(rec1b), sum1b)
 
     cfg2 = SweepConfig(n_min=4, n_max=4, t_set=(2,), chordal_only=True)
     rec2, sum2 = sweep(cfg2)
     target = tuple(counterexample_graph().edge_list())
     ok &= any(r.edges == target and r.cwl is False for r in rec2)
     rec2b, sum2b = sweep(cfg2)
-    ok &= to_jsonl(rec2, sum2, include_timing=False) == to_jsonl(
-        rec2b, sum2b, include_timing=False
-    )
+    ok &= (untimed(rec2), sum2) == (untimed(rec2b), sum2b)
 
     cfg3 = SweepConfig(n_min=3, n_max=5, t_set=(1, 2, 3), complete_only=True)
     rec3, sum3 = sweep(cfg3)
     ok &= all(r.cwl for r in rec3)
     rec3b, sum3b = sweep(cfg3)
-    ok &= to_jsonl(rec3, sum3, include_timing=False) == to_jsonl(
-        rec3b, sum3b, include_timing=False
-    )
+    ok &= (untimed(rec3), sum3) == (untimed(rec3b), sum3b)
 
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 900.0
@@ -353,7 +348,7 @@ def test_criterion_7_sweep_reproduction():
         7,
         ok,
         f"chordal t=1 all pass; counterexample found at t=2; complete graphs "
-        f"pass t<=3; byte-identical reruns; {elapsed:.1f}s",
+        f"pass t<=3; reruns equal but for wall times; {elapsed:.1f}s",
     )
     assert ok
 

@@ -396,6 +396,18 @@ def test_search_csv_format(capsys):
     assert out.splitlines()[0] == "n,t,edges,chordal,cwl,failing_degree,gens,ms"
 
 
+def test_search_csv_is_pinned(capsys):
+    # sha256 of the output of the CSV writer that lived in the search module
+    code, out, _ = run(
+        capsys, *"search --n-min 3 --n-max 5 --t 1,2,3 --complete-only --format csv "
+        "--no-timing".split()
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d07a0edba126005c85e9d5311affa1dbb38d7a01dc47c745ecbdaf5c1b3f5ad6"
+    )
+
+
 def test_search_deterministic_output(capsys):
     _, out1, _ = run(capsys, "search", "--n", "3", "--t", "1,2", "--no-timing")
     _, out2, _ = run(capsys, "search", "--n", "3", "--t", "1,2", "--no-timing")

@@ -1,15 +1,17 @@
+import json
 import random
 import tracemalloc
 from collections import defaultdict
 from bisect import bisect_right
 from itertools import accumulate, combinations, compress, count, groupby, permutations, product
 from math import comb, prod
-from operator import itemgetter, ne, or_
+from operator import attrgetter, itemgetter, ne, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverideals import resolution, search
+from coverideals.cli import main
 from coverideals.errors import CapacityError, NotEquigeneratedError
 from coverideals.graphs import (
     SimpleGraph,
@@ -77,12 +79,12 @@ def test_field_choice_validation():
 def test_records_are_hashable_immutable_values():
     assert FieldChoice() == RATIONALS and FieldChoice(p=3) == FieldChoice(3)
     assert {FieldChoice(3): "F3", RATIONALS: "Q"}[FieldChoice(3)] == "F3"
-    assert str(FieldChoice(3)) == "F3" and repr(FieldChoice(3)) == "FieldChoice(p=3)"
+    assert repr(FieldChoice(3)) == "FieldChoice(p=3)"
     verdict = DegreeVerdict(4, "not linear", (1, 6))
     assert DegreeVerdict(2, "linear").offending is None
-    report = CwlReport(F2, (verdict,), False)
-    assert report == CwlReport(FieldChoice(2), (DegreeVerdict(4, "not linear", (1, 6)),), False)
-    assert hash(report) == hash(CwlReport(F2, (verdict,), False, False))
+    report = CwlReport((verdict,), False)
+    assert report == CwlReport((DegreeVerdict(4, "not linear", (1, 6)),), False)
+    assert hash(report) == hash(CwlReport((verdict,), False, False))
     assert (report.vacuous, report.failing_degree()) == (False, 4)
     quotients = resolution.linear_quotients_check([(1, 0), (0, 1)])
     assert quotients == resolution.QuotientsResult(True, (((1, 0),),))
@@ -510,7 +512,7 @@ def _cone_corpus():
     return corpus
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=attrgetter("label"))
 def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
     homology = resolution._homology
     computed = []
@@ -645,7 +647,7 @@ def reduced_ranks(faces, field, homology=resolution._homology):
     return {size: h for size, h in homology(faces, field).items() if h}
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=attrgetter("label"))
 def test_koszul_cone_screen_is_sound(monkeypatch, field):
     # Each complex is matched on one vertex v: a face lacking v is paired
     # with its union with v where that is a face.  The unpaired (critical)
@@ -833,7 +835,7 @@ def test_built_orbit_representatives_match_the_column_filter(drawn):
         assert orbit == arranged, a
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=attrgetter("label"))
 def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
     # Homology is taken at one lattice point per orbit of the twin swaps;
     # the table must equal the one from every point's own complex.
@@ -886,7 +888,7 @@ def test_koszul_twin_orbits_match_unreduced(monkeypatch, field):
     assert 0 < twin_calls < len(calls) - twin_calls
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=attrgetter("label"))
 def test_coarse_entries_from_orbit_sizes(field):
     # Coarse entries add each orbit representative's ranks times the orbit's
     # size; they must be the sums of the expanded table, and that table the
@@ -929,7 +931,7 @@ def _wide_ideals():
     return [*corpus, maximal, SPREAD_TWINS]
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=attrgetter("label"))
 def test_koszul_matches_taylor_on_wide_supports(field):
     # The Koszul engine gathers one membership bit per face pattern of a
     # support, 2^m patterns on m support axes; elsewhere the tests stop at 6
@@ -1345,7 +1347,7 @@ def test_stop_at_failure_ends_the_report_at_its_first_failing_degree(monkeypatch
         stopped = is_componentwise_linear(I, stop_at_failure=True)
         failing = full.failing_degree()
         head = [v for v in full.verdicts if v.degree <= failing]
-        assert stopped == CwlReport(full.field, tuple(head), False)
+        assert stopped == CwlReport(tuple(head), False)
         assert stopped.failing_degree() == failing
         # the same Betti tables up to the failing degree, none after it
         assert degrees == [d for d in full_degrees if d <= failing]
@@ -1397,7 +1399,7 @@ def _graph_class_ideals(n_max=5, t_max=3):
 SQUARES_AND_FOURTH = ideal(3, (2, 0, 0), (0, 2, 0), (0, 0, 4))
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, FieldChoice(3)], ids=attrgetter("label"))
 def test_gap_degree_verdicts_match_brute_force(monkeypatch, field):
     # A gap degree after a linear one is linear by Eisenbud-Goto; the report
     # must agree with a Betti table for every degree.  Both routes share one
@@ -1446,11 +1448,12 @@ def test_betti_tables_only_where_not_settled(monkeypatch, I, computed):
     assert tables == computed
 
 
-def test_cwl_report_json_schema():
-    report = is_componentwise_linear(cover_ideal(counterexample_graph(), 2))
-    out = report.to_json_dict()
-    assert set(out) == {"field", "overall", "vacuous", "per_degree"}
-    assert out["overall"] is False
+def test_cwl_report_json_schema(capsys):
+    assert main(["check-cwl", "--counterexample", "--t", "2", "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"field", "overall", "vacuous", "per_degree", "certificate"}
+    assert (out["field"], out["overall"], out["vacuous"], out["certificate"]) == (
+        "Q", False, False, None)
     assert {"degree", "verdict"} <= set(out["per_degree"][0])
     offending = [e for e in out["per_degree"] if e["verdict"] == "not linear"]
     assert offending and offending[0]["offending"] == [1, 6]

@@ -6,18 +6,12 @@ from collections import Counter
 import pytest
 
 from coverideals import search
+from coverideals.cli import main
 from coverideals.errors import CapacityError
 from coverideals.graphs import SimpleGraph, counterexample_graph
 from coverideals.resolution import RATIONALS, is_componentwise_linear
 from coverideals.graphs import cover_ideal
-from coverideals.search import (
-    CSV_HEADER,
-    SweepConfig,
-    canonical_edge_mask,
-    sweep,
-    to_csv,
-    to_jsonl,
-)
+from coverideals.search import SweepConfig, canonical_edge_mask, sweep
 from test_graphs import relabel
 
 
@@ -52,6 +46,31 @@ def test_sweep_records_are_hashable_immutable_values():
     for value, name in ((config, "n_max"), (record, "status")):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+def test_t_set_is_sorted_and_distinct(capsys):
+    config = SweepConfig(n_min=2, n_max=2, t_set=(2, 1, 2))
+    assert config.t_set == (1, 2)
+    records, summary = sweep(config)
+    assert sorted((r.edges, r.t) for r in records) == [
+        ((), 1), ((), 2), (((1, 2),), 1), (((1, 2),), 2)]
+    assert summary["rows"] == 4 and summary["per_t"]["2"]["rows"] == 2
+    outputs = []
+    for t in ("2,1,2", "1,2"):
+        main(["search", "--n", "3", "--t", t, "--no-timing"])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def untimed(records):
+    """The records with their wall times dropped."""
+    return [r._replace(wall_ms=None) for r in records]
+
+
+def search_output(capsys, *argv):
+    """stdout of ``search`` with the given arguments."""
+    main(["search", *argv])
+    return capsys.readouterr().out
 
 
 def rows(**config):
@@ -189,29 +208,32 @@ def test_reports_are_deterministic_modulo_timing():
     config = SweepConfig(n_min=3, n_max=3, t_set=(1, 2))
     r1, s1 = sweep(config)
     r2, s2 = sweep(config)
-    assert to_jsonl(r1, s1, include_timing=False) == to_jsonl(r2, s2, include_timing=False)
-    assert to_csv(r1, s1, include_timing=False) == to_csv(r2, s2, include_timing=False)
+    assert (untimed(r1), s1) == (untimed(r2), s2)
 
 
-def test_jsonl_and_csv_shapes():
-    records, summary = sweep(SweepConfig(n_min=2, n_max=2, t_set=(1,)))
-    jl = to_jsonl(records, summary).strip().splitlines()
+def test_jsonl_and_csv_shapes(capsys):
+    records, _ = sweep(SweepConfig(n_min=2, n_max=2, t_set=(1,)))
+    jl = search_output(capsys, "--n", "2").strip().splitlines()
     assert len(jl) == len(records) + 1
     row = json.loads(jl[0])
     assert {"n", "t", "edges", "chordal", "cwl", "failing_degree", "gens", "ms", "status"} <= set(row)
     assert "summary" in json.loads(jl[-1])
-    csv = to_csv(records, summary).splitlines()
-    assert csv[0] == CSV_HEADER
+    csv = search_output(capsys, "--n", "2", "--format", "csv").splitlines()
+    assert csv[0] == "n,t,edges,chordal,cwl,failing_degree,gens,ms"
+    assert len(csv) == len(records) + 2
 
 
 def test_row_budget_skips_the_same_rows_in_any_thread():
     config = SweepConfig(n_min=4, n_max=4, t_set=(2,), row_budget=40)
     records, summary = sweep(config)
-    on_main = to_jsonl(records, summary, include_timing=False)
+    on_main = (untimed(records), summary)
     in_thread = []
-    worker = threading.Thread(
-        target=lambda: in_thread.append(to_jsonl(*sweep(config), include_timing=False))
-    )
+
+    def run_sweep():
+        thread_records, thread_summary = sweep(config)
+        in_thread.append((untimed(thread_records), thread_summary))
+
+    worker = threading.Thread(target=run_sweep)
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive()
@@ -223,9 +245,9 @@ def test_row_budget_skips_the_same_rows_in_any_thread():
     assert summary["per_t"]["2"]["skipped"] == len(skipped)
     unbudgeted, _ = sweep(SweepConfig(n_min=4, n_max=4, t_set=(2,), row_budget=0))
     assert all(r.status == "ok" for r in unbudgeted)
-    for rec, ref in zip(records, unbudgeted):
+    for rec, ref in zip(untimed(records), untimed(unbudgeted)):
         if rec.status == "ok":
-            assert rec.to_json_dict(False) == ref.to_json_dict(False)
+            assert rec == ref
 
 
 def test_edgeless_and_single_edge_rows_trivially_pass():
@@ -273,11 +295,10 @@ def test_verdicts_are_decided_once_per_class(monkeypatch):
     assert summary["per_t"]["2"]["skipped"] == 6
 
 
-def test_n5_sweep_output_is_frozen():
+def test_n5_sweep_output_is_frozen(capsys):
     # sha256 of the output of the earlier sweep that decided every labelled
     # graph on its own
-    records, summary = sweep(SweepConfig(n_min=5, n_max=5, t_set=(1, 2)))
-    text = to_jsonl(records, summary, include_timing=False)
+    text = search_output(capsys, "--n", "5", "--t", "1,2", "--no-timing")
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "de526e91ba69a88997760df8b41d4ac90bce43c798a176646f96aae9c901ac6b"
     )

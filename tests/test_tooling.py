@@ -273,7 +273,7 @@ def readme_library_example() -> str:
 
 
 def test_every_public_name_is_used():
-    # An export, or a public method of the core classes, that only tests
+    # An export, or a public method of an exported class, that only tests
     # call is API with no user.  Each must be named in the package outside
     # its own definition and __init__.py, or in the README's Library example.
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES
@@ -289,7 +289,7 @@ def test_every_public_name_is_used():
     wanted = [(name, defined[name]) for name in coverideals.__all__]
     wanted += [
         ("." + node.name, node)
-        for cls in ("MonomialIdeal", "SimpleGraph")
+        for cls in coverideals.__all__ if isinstance(defined[cls], ast.ClassDef)
         for node in defined[cls].body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
@@ -318,11 +318,15 @@ def test_readme_library_example_gives_its_commented_values():
     assert len(certificate) == 8 and all(type(m) is tuple for m in certificate)
 
 
+def readme_cli_section() -> str:
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    return readme.split("## CLI")[1].split("\n## ")[0]
+
+
 def readme_cli_commands() -> list[tuple[list[str], str]]:
     """(arguments after ``coverideals``, comment) for each line of the shell
     block under the README's CLI heading."""
-    readme = (PACKAGE.parent.parent / "README.md").read_text()
-    block = readme.split("## CLI")[1].split("```sh")[1].split("```")[0]
+    block = readme_cli_section().split("```sh")[1].split("```")[0]
     commands = []
     for line in block.splitlines():
         command, _, comment = line.partition("#")
@@ -331,31 +335,51 @@ def readme_cli_commands() -> list[tuple[list[str], str]]:
     return commands
 
 
-def test_readme_cli_block_gives_its_commented_outcomes():
-    # Run, in README order, each command whose comment states an outcome,
-    # bar the search lines and those reading ideal files the README does not
-    # give, and check the outcome its comment states.
+def readme_ideal_files() -> dict[str, str]:
+    """{name: text} for each code block under the README's CLI heading whose
+    first line is a comment naming an ideal file."""
+    files = {}
+    for block in readme_cli_section().split("```")[1::2]:
+        text = block.partition("\n")[2]
+        name = text.split()[1].rstrip(":") if text.startswith("# ") else ""
+        if name.endswith(".ideal"):
+            files[name] = text
+    return files
+
+
+def test_readme_cli_block_gives_its_commented_outcomes(tmp_path, monkeypatch):
+    # Write the ideal files the README gives, then run, in README order,
+    # each command whose comment states an outcome, bar the search lines,
+    # and check the outcome its comment states.
+    files = readme_ideal_files()
+    assert sorted(files) == ["squares.ideal", "xy.ideal"]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     runs = []  # (subcommand, exit code, stdout lines)
     for argv, comment in readme_cli_commands():
-        if comment and argv[0] != "search" and not any(a.endswith(".ideal") for a in argv):
+        if comment and argv[0] != "search":
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 runs.append((argv[0], cli.main(argv), out.getvalue().splitlines()))
     assert [name for name, _, _ in runs] == [
-        "gens", "gens", "check-cwl", "check-cwl",
-        "quotients", "quotients", "quotients", "polymatroidal",
+        "gens", "gens", "check-cwl", "check-cwl", "betti", "betti",
+        "quotients", "quotients", "quotients", "polymatroidal", "polymatroidal",
     ]
-    assert [code for _, code, _ in runs] == [0, 0, 0, 1, 0, 0, 1, 0]
-    gens_cx, gens_k12, cwl_k4, cwl_cx, quot_k3, quot_k4, _, poly_k3 = [
-        lines for _, _, lines in runs]
+    assert [code for _, code, _ in runs] == [0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1]
+    (gens_cx, gens_k12, cwl_k4, cwl_cx, betti_cx, betti_xy, quot_k3, quot_k4, _,
+     poly_k3, poly_sq) = [lines for _, _, lines in runs]
     assert gens_cx[0].startswith("4 minimal generators")
     assert json.loads(gens_k12[0])["count"] == 36
     assert "componentwise linear" in cwl_k4
     assert "NOT componentwise linear (first failure at degree 4)" in cwl_cx
+    assert "  beta[1,6] = 1" in betti_cx
+    assert betti_xy == ["coarse Betti numbers over F2:", "  beta[0,2] = 2", "  beta[1,3] = 1"]
     assert [ln for ln in quot_k3 if "step" in ln] == [
         f"  step {k}: colon = <x{k - 1}>" for k in (2, 3, 4)]
     assert sum("step" in ln for ln in quot_k4) == 7
     assert poly_k3 and all(ln.endswith(": exchange holds") for ln in poly_k3)
+    assert poly_sq == ["degree 2: FAILS (witness u=x2^2, v=x1^2, i=2)"]
 
 
 @pytest.mark.parametrize("name", ["complete_cwl", "chordal_sweep", "random_betti"])
