@@ -48,20 +48,6 @@ def test_sweep_records_are_hashable_immutable_values():
             setattr(value, name, None)
 
 
-def test_t_set_is_sorted_and_distinct(capsys):
-    config = SweepConfig(n_min=2, n_max=2, t_set=(2, 1, 2))
-    assert config.t_set == (1, 2)
-    records, summary = sweep(config)
-    assert sorted((r.edges, r.t) for r in records) == [
-        ((), 1), ((), 2), (((1, 2),), 1), (((1, 2),), 2)]
-    assert summary["rows"] == 4 and summary["per_t"]["2"]["rows"] == 2
-    outputs = []
-    for t in ("2,1,2", "1,2"):
-        main(["search", "--n", "3", "--t", t, "--no-timing"])
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-
-
 def untimed(records):
     """The records with their wall times dropped."""
     return [r._replace(wall_ms=None) for r in records]
@@ -71,6 +57,17 @@ def search_output(capsys, *argv):
     """stdout of ``search`` with the given arguments."""
     main(["search", *argv])
     return capsys.readouterr().out
+
+
+def test_t_set_is_sorted_and_distinct(capsys):
+    config = SweepConfig(n_min=2, n_max=2, t_set=(2, 1, 2))
+    assert config.t_set == (1, 2)
+    records, summary = sweep(config)
+    assert sorted((r.edges, r.t) for r in records) == [
+        ((), 1), ((), 2), (((1, 2),), 1), (((1, 2),), 2)]
+    assert summary["rows"] == 4 and summary["per_t"]["2"]["rows"] == 2
+    assert search_output(capsys, "--n", "3", "--t", "2,1,2", "--no-timing") == (
+        search_output(capsys, "--n", "3", "--t", "1,2", "--no-timing"))
 
 
 def rows(**config):

@@ -319,6 +319,7 @@ def test_readme_library_example_gives_its_commented_values():
 
 
 def readme_cli_section() -> str:
+    """The README text under the CLI heading, up to the next heading."""
     readme = (PACKAGE.parent.parent / "README.md").read_text()
     return readme.split("## CLI")[1].split("\n## ")[0]
 
