@@ -10,10 +10,12 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   as one int, with each exponent's position among the generators'
   exponents in its variable written in unary, so the lcm of a subset is the
   OR of its generators' codes and is decoded to exponents only where a
-  Betti number lives.  A stratum whose lcm has a generator strictly below
-  it on every axis off the least exponent is a cone with no homology, and
-  is skipped before any boundary is built.  Cost is 2^g in the number of
-  generators, so it is the small-instance oracle.
+  Betti number lives.  A stratum at lcm m whose complex Delta_<m (the
+  generator subsets with lcm below m) is a cone on a generator has no
+  homology, and is skipped before any boundary is built: a per-code screen
+  drops most such subsets before grouping, and an exact apex test on each
+  remaining stratum the rest.  Cost is 2^g in the number of generators, so
+  it is the small-instance oracle.
 
 * ``koszul_betti`` enumerates the lcm lattice of the generators and reads
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
@@ -288,29 +290,37 @@ def taylor_strand_betti(
     stratum's code is decoded (axis i: its values at the field's popcount)
     only when the stratum has homology.
 
-    Before any homology, each distinct lcm code is tested once for being a
-    cone, and a cone stratum is skipped: its masks are never grouped.  With
-    ``tops`` the top bit of every field of nonzero width, ``down = code &
-    (code >> 1) & ~tops`` is the code one position lower on every axis
-    (0 where the field is 0), and the stratum of a nonzero code is a cone
-    when some generator code c has ``c & ~down == 0``: that generator is
-    strictly below the lcm m on every axis where m is above the generators'
-    least exponent, and equal to m on the others.  Such a stratum has no
-    homology over any field (Taylor, 1966; Gasharov-Peeva-Welker, Math. Res.
-    Lett. 6, 1999):
+    A stratum at lcm m is the full simplex on G_m, the generators dividing
+    m, relative to Delta_<m, the subsets of G_m whose lcm properly divides m
+    (the empty set included).  The full simplex is acyclic, so by the long
+    exact sequence of the pair the stratum carries the reduced homology of
+    Delta_<m, one degree down (Taylor, 1966; Gasharov-Peeva-Welker, Math.
+    Res. Lett. 6, 1999).  A stratum is skipped when Delta_<m is a cone on a
+    generator, so has no homology over any field.  Two screens find these:
 
-    * On an axis where m is at the least exponent, every generator dividing
-      m equals m there, so only the other axes can make the lcm of a subset
-      a proper divisor of m.
-    * Let Delta_<m be the subsets of the generators dividing m whose lcm
-      properly divides m, the empty set included.  A generator g strictly
-      below m on all those other axes is an apex of Delta_<m: adding g to
-      any member keeps its lcm below m on the axis that put it there (for
-      the empty set, {g} itself lies below m, as m is above the least
-      exponent somewhere).  So Delta_<m is a cone, hence acyclic.
-    * The stratum is the full simplex on the generators dividing m relative
-      to Delta_<m.  Both are acyclic, so by the long exact sequence of the
-      pair the stratum has no homology.
+    * Per code, before grouping: each distinct lcm code is tested once, and
+      the masks of a cone code are never grouped.  With ``tops`` the top bit
+      of every field of nonzero width, ``down = code & (code >> 1) & ~tops``
+      is the code one position lower on every axis (0 where the field is
+      0), and a nonzero code is skipped when some generator code c has ``c
+      & ~down == 0``: that generator is strictly below m on every axis where
+      m is above the generators' least exponent, and equal to m on the
+      others.  This is the special case below with no axis to check, and
+      it drops most of the subsets at a few operations per code.
+    * Per stratum, after grouping: a generator g != m in G_m is an apex of
+      Delta_<m exactly when, for every axis j where S_j = {h in G_m : h_j <
+      m_j} is non-empty, g and x_j = lcm S_j are both below m on some common
+      axis.  Every sigma in Delta_<m has its lcm below m on some axis j, so
+      sigma lies in S_j and lcm sigma divides x_j; hence Delta_<m is the
+      union of the simplices on the S_j, and g is an apex exactly when each
+      S_j + {g} has its lcm below m, that is when g and x_j share an axis
+      below m.  Where g is below m on axis j this holds at j itself, so only
+      the axes where g reaches m need checking.  In codes, ``top`` holds m's
+      top bit on each axis (g reaches m on an axis when its code holds that
+      bit), S_j is the generators of G_m lacking bit b of axis j, and the
+      generators failing axis j are those holding every top bit that lcm
+      S_j lacks.  A stratum of one face is the generator m alone, which has
+      homology; in every other stratum m is no generator, so g != m holds.
 
     The argument uses only the subset complex, so this engine stays an
     oracle independent of ``koszul_betti``.
@@ -352,6 +362,26 @@ def taylor_strand_betti(
     strata: dict[int, list[int]] = defaultdict(list)
     for mask in compress(range(1, 1 << g), map(kept.__contains__, islice(lcm_of, 1, None))):
         strata[lcm_of[mask]].append(mask)
+
+    # holding[b]: the generators whose code holds the single bit b
+    holding = {
+        1 << b: sum(1 << k for k, c in enumerate(codes) if c >> b & 1) for b in range(offset)
+    }
+    for code, masks in list(strata.items()):
+        if len(masks) == 1:
+            continue  # the generator m alone
+        everyone = masks[-1]  # the largest mask: G_m, the generators dividing m
+        top = code & ~((code >> 1) & ~tops)  # m's top bit on each axis
+        fails = 0  # generators that are no apex
+        for b in _set_bits(top):
+            below = everyone & ~holding[b]  # S_j: below m on b's axis
+            if below:
+                fail = everyone  # no axis below m in common with lcm S_j
+                for f in _set_bits(top & ~lcm_of[below]):
+                    fail &= holding[f]
+                fails |= fail
+        if everyone & ~fails:
+            del strata[code]
     del lcm_of  # 2^g codes: over half of the call's peak memory at g = 14
 
     orbits = []  # (a, ranks, 1): without twins a point is its own orbit
@@ -596,6 +626,14 @@ def _twin_orbit(a: tuple, twins: list[tuple[int, int]]) -> set[tuple]:
                 orbit.add(c)
                 todo.append(c)
     return orbit
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """The set bits of ``x``, each as an int of one bit, lowest first."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
 
 
 def _pattern_masks(m: int) -> list[int]:

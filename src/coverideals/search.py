@@ -64,7 +64,9 @@ class SweepConfig(namedtuple(
         t_set = tuple(sorted(set(map(operator.index, given.t_set))))
         if not 1 <= n_min <= n_max <= 6:
             raise ValueError("vertex range must satisfy 1 <= n_min <= n_max <= 6")
-        if not t_set or any(t < 1 or t > 6 for t in t_set):
+        if not t_set:
+            raise ValueError("no t values given")
+        if any(t < 1 or t > 6 for t in t_set):
             raise ValueError("t values must lie in 1..6")
         if row_budget < 0:
             raise ValueError("row budget must be >= 0 (0 means no budget)")

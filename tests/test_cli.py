@@ -233,6 +233,7 @@ def test_betti_component_past_the_exponent_cap(tmp_path, capsys, text, degree, s
          "error: bad field 'F': expected Q, a prime p or Fp\n"),
         ("search --n 3 --t 1,x", 2, "",
          "error: bad --t list '1,x': expected comma-separated integers\n"),
+        ("search --n 3 --t ,", 2, "", "error: no t values given\n"),
         ("gens --graph {edge} --t 1", 2, "", "error: bad edge line '1 x'\n"),
         ("check-cwl --ideal {header}", 2, "", "error: bad vars line 'vars 2 junk'\n"),
     ],

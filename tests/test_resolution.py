@@ -5,7 +5,7 @@ from collections import defaultdict
 from bisect import bisect_right
 from itertools import accumulate, combinations, compress, count, groupby, permutations, product
 from math import comb, prod
-from operator import attrgetter, itemgetter, ne, or_
+from operator import attrgetter, itemgetter, le, ne, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +54,15 @@ def random_small_ideal(rng):
         for _ in range(rng.randint(1, 6))
     ]
     return MonomialIdeal(n, gens)
+
+
+def _degree_d_monomials(n, d):
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in _degree_d_monomials(n - 1, d - first):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +291,13 @@ def test_engines_agree_on_seeded_random_ideals():
         t = taylor_strand_betti(I)
         k = koszul_betti(I)
         assert t == k, I
+    # equigenerated ideals of 11-14 generators in 4-5 variables, where most
+    # acyclic Taylor strata are cones on a generator that reaches the lcm on
+    # some axis
+    for n, d, g in ((4, 3, 11), (5, 4, 12), (4, 5, 13), (5, 3, 14), (4, 4, 14), (5, 5, 12)):
+        I = MonomialIdeal(n, rng.sample(list(_degree_d_monomials(n, d)), g))
+        for field in (RATIONALS, F2, FieldChoice(3)):
+            assert taylor_strand_betti(I, field) == koszul_betti(I, field), (I, field)
 
 
 def test_engines_agree_over_f2():
@@ -484,26 +500,45 @@ def taylor_strata(I):
     return strata
 
 
-def is_cone_stratum(m, gens):
-    """The skipping rule in exponent terms: the lcm m is above the
-    generators' least exponent on some axis, and some generator is strictly
-    below m on every such axis and equal to m on the others."""
+def is_per_code_cone(m, gens):
+    """The engine's first, per-code screen in exponent terms: the lcm m is
+    above the generators' least exponent on some axis, and some generator is
+    strictly below m on every such axis and equal to m on the others."""
     above = [a > min(axis) for a, axis in zip(m, zip(*gens))]
     return any(above) and any(
         all(x < a if up else x == a for x, a, up in zip(e, m, above)) for e in gens
     )
 
 
+def has_generator_apex(m, gens):
+    """The skipping rule by brute force: some generator g != m divides m,
+    and lcm(sigma + {g}) != m for every set sigma of generators dividing m
+    with lcm sigma != m (the empty set included, whose lcm is 1)."""
+    divisors = [e for e in gens if all(map(le, e, m))]
+    lcms = [(0,) * len(m)]  # lcms[mask]: lcm of the divisors in mask
+    for e in divisors:
+        lcms += [tuple(map(max, a, e)) for a in lcms]
+    below = [mask for mask, a in enumerate(lcms) if a != m]
+    return any(
+        e != m and all(lcms[mask | 1 << k] != m for mask in below)
+        for k, e in enumerate(divisors)
+    )
+
+
 # (x1^2, x1x2x3, x2^2x3^2) in four variables: its degree-4 component has
 # TAYLOR_CAP generators
 CONE_COMPONENT = ideal(4, (2, 0, 0, 0), (1, 1, 1, 0), (0, 2, 2, 0)).component(4)
+# 12 seeded monomials of degree 4 in 5 variables, a shape the benchmark's
+# random Betti tables share: here most skipped strata have an apex that is
+# not below m on every axis
+APEX_IDEAL = MonomialIdeal(5, random.Random(20091110).sample(list(_degree_d_monomials(5, 4)), 12))
 
 
 def _cone_corpus():
-    """CONE_COMPONENT, the edge ideals, and seeded equigenerated ideals of
-    2-10 generators in 2-4 variables."""
+    """CONE_COMPONENT, APEX_IDEAL, the edge ideals, and seeded equigenerated
+    ideals of 2-10 generators in 2-4 variables."""
     rng = random.Random(1999)
-    corpus = [CONE_COMPONENT, *EDGE_IDEALS]
+    corpus = [CONE_COMPONENT, APEX_IDEAL, *EDGE_IDEALS]
     for _ in range(40):
         n, d = rng.randint(2, 4), rng.randint(2, 4)
         monomials = list(_degree_d_monomials(n, d))
@@ -523,16 +558,18 @@ def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
 
     monkeypatch.setattr(resolution, "_homology", recording)
     assert len(CONE_COMPONENT.generators) == TAYLOR_CAP
-    skipped = []  # cone strata per ideal
+    skipped, past_per_code = [], []  # cone strata per ideal; of them, not per-code cones
     for I in _cone_corpus():
         gens = list(I.generators)
-        unpruned, kept, cones = {}, set(), 0
+        unpruned, kept, cones, beyond = {}, set(), 0, 0
         for m, masks in taylor_strata(I).items():
             ranks = homology(masks, field)
-            if is_cone_stratum(m, gens):
+            if has_generator_apex(m, gens):
                 assert not any(ranks.values()), (I, m)
                 cones += 1
+                beyond += not is_per_code_cone(m, gens)
             else:
+                assert not is_per_code_cone(m, gens), (I, m)
                 kept.add(tuple(masks))
             unpruned.update({(size - 1, m): h for size, h in ranks.items() if h})
         computed.clear()
@@ -540,7 +577,9 @@ def test_pruned_taylor_strata_are_acyclic(monkeypatch, field):
         # homology is taken on exactly the strata the rule keeps
         assert sorted(computed) == sorted(kept), I
         skipped.append(cones)
+        past_per_code.append(beyond)
     assert skipped[0] > 0  # CONE_COMPONENT
+    assert past_per_code[1] > 0  # APEX_IDEAL
     assert sum(map(bool, skipped)) > len(skipped) // 2
 
 
@@ -1214,15 +1253,6 @@ def test_equigenerated_degree_bound():
         table = taylor_strand_betti(I)
         for i, j, r in table.coarse_entries():
             assert j >= i + d
-
-
-def _degree_d_monomials(n, d):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _degree_d_monomials(n - 1, d - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
