@@ -12,10 +12,9 @@ their homology with one routine, ``_homology``, whose faces are bitmasks:
   OR of its generators' codes and is decoded to exponents only where a
   Betti number lives.  A stratum at lcm m whose complex Delta_<m (the
   generator subsets with lcm below m) is a cone on a generator has no
-  homology, and is skipped before any boundary is built: a per-code screen
-  drops most such subsets before grouping, and an exact apex test on each
-  remaining stratum the rest.  Cost is 2^g in the number of generators, so
-  it is the small-instance oracle.
+  homology, and an exact apex test on each stratum skips it before any
+  boundary is built.  Cost is 2^g in the number of generators, so it is the
+  small-instance oracle.
 
 * ``koszul_betti`` enumerates the lcm lattice of the generators and reads
   beta_{i,a} off the reduced homology (one dimension down) of the squarefree
@@ -62,7 +61,7 @@ import operator
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
 from itertools import (
-    combinations, combinations_with_replacement, compress, islice, product, repeat,
+    combinations, combinations_with_replacement, compress, product, repeat,
 )
 from math import comb, factorial, prod
 from operator import getitem, itemgetter, le
@@ -296,31 +295,21 @@ def taylor_strand_betti(
     exact sequence of the pair the stratum carries the reduced homology of
     Delta_<m, one degree down (Taylor, 1966; Gasharov-Peeva-Welker, Math.
     Res. Lett. 6, 1999).  A stratum is skipped when Delta_<m is a cone on a
-    generator, so has no homology over any field.  Two screens find these:
-
-    * Per code, before grouping: each distinct lcm code is tested once, and
-      the masks of a cone code are never grouped.  With ``tops`` the top bit
-      of every field of nonzero width, ``down = code & (code >> 1) & ~tops``
-      is the code one position lower on every axis (0 where the field is
-      0), and a nonzero code is skipped when some generator code c has ``c
-      & ~down == 0``: that generator is strictly below m on every axis where
-      m is above the generators' least exponent, and equal to m on the
-      others.  This is the special case below with no axis to check, and
-      it drops most of the subsets at a few operations per code.
-    * Per stratum, after grouping: a generator g != m in G_m is an apex of
-      Delta_<m exactly when, for every axis j where S_j = {h in G_m : h_j <
-      m_j} is non-empty, g and x_j = lcm S_j are both below m on some common
-      axis.  Every sigma in Delta_<m has its lcm below m on some axis j, so
-      sigma lies in S_j and lcm sigma divides x_j; hence Delta_<m is the
-      union of the simplices on the S_j, and g is an apex exactly when each
-      S_j + {g} has its lcm below m, that is when g and x_j share an axis
-      below m.  Where g is below m on axis j this holds at j itself, so only
-      the axes where g reaches m need checking.  In codes, ``top`` holds m's
-      top bit on each axis (g reaches m on an axis when its code holds that
-      bit), S_j is the generators of G_m lacking bit b of axis j, and the
-      generators failing axis j are those holding every top bit that lcm
-      S_j lacks.  A stratum of one face is the generator m alone, which has
-      homology; in every other stratum m is no generator, so g != m holds.
+    generator, so has no homology over any field.  After grouping, each
+    stratum is tested for such an apex: a generator g != m in G_m is an apex
+    of Delta_<m exactly when, for every axis j where S_j = {h in G_m : h_j <
+    m_j} is non-empty, g and x_j = lcm S_j are both below m on some common
+    axis.  Every sigma in Delta_<m has its lcm below m on some axis j, so
+    sigma lies in S_j and lcm sigma divides x_j; hence Delta_<m is the
+    union of the simplices on the S_j, and g is an apex exactly when each
+    S_j + {g} has its lcm below m, that is when g and x_j share an axis
+    below m.  Where g is below m on axis j this holds at j itself, so only
+    the axes where g reaches m need checking.  In codes, ``top`` holds m's
+    top bit on each axis (g reaches m on an axis when its code holds that
+    bit), S_j is the generators of G_m lacking bit b of axis j, and the
+    generators failing axis j are those holding every top bit that lcm
+    S_j lacks.  A stratum of one face is the generator m alone, which has
+    homology; in every other stratum m is no generator, so g != m holds.
 
     The argument uses only the subset complex, so this engine stays an
     oracle independent of ``koszul_betti``.
@@ -351,18 +340,13 @@ def taylor_strand_betti(
     for c in codes:
         lcm_of += [d | c for d in lcm_of]
 
-    # `& ~tops` clears what the shift brings into each field's top bit from
-    # the field above; code 0 (one generator at the least exponents) is no cone
-    tops = sum(1 << (off + width.bit_length() - 1) for off, width, _ in fields if width)
-    kept = set()
-    for code in set(lcm_of):
-        down = code & (code >> 1) & ~tops
-        if not code or all(c & ~down for c in codes):
-            kept.add(code)
     strata: dict[int, list[int]] = defaultdict(list)
-    for mask in compress(range(1, 1 << g), map(kept.__contains__, islice(lcm_of, 1, None))):
+    for mask in range(1, 1 << g):
         strata[lcm_of[mask]].append(mask)
 
+    # `& ~tops` clears what the shift brings into each field's top bit from
+    # the field above
+    tops = sum(1 << (off + width.bit_length() - 1) for off, width, _ in fields if width)
     # holding[b]: the generators whose code holds the single bit b
     holding = {
         1 << b: sum(1 << k for k, c in enumerate(codes) if c >> b & 1) for b in range(offset)
@@ -382,7 +366,7 @@ def taylor_strand_betti(
                 fails |= fail
         if everyone & ~fails:
             del strata[code]
-    del lcm_of  # 2^g codes: over half of the call's peak memory at g = 14
+    del lcm_of  # 2^g codes, half the call's peak memory at g = 14: not held in _homology
 
     orbits = []  # (a, ranks, 1): without twins a point is its own orbit
     for code, masks in strata.items():

@@ -266,6 +266,25 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_every_import_is_used():
+    # A name a module imports and never reads is a stale import.  The
+    # package's __init__ only re-exports, which test_all_exports_resolve
+    # checks; "annotations" is the __future__ switch, read by the compiler.
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bound = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        unused += [f"{path.name}:{name}" for name in sorted(bound - read - {"annotations"})]
+    assert unused == []
+
+
 def readme_library_example() -> str:
     """The Python block under the README's Library heading."""
     readme = (PACKAGE.parent.parent / "README.md").read_text()
